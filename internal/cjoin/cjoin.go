@@ -305,11 +305,10 @@ type routeCol struct {
 
 // subscription is one admitted query.
 type subscription struct {
-	q        *plan.StarQuery
-	factPred func(types.Row) bool // nil means all fact rows qualify
-	factVec  expr.VecPred         // vectorized form of factPred (nil iff factPred is)
-	prune    expr.PruneCheck      // page-level can-match check (nil = every page)
-	dimIdx   []int                // operator dim index per q.Dims entry
+	q       *plan.StarQuery
+	factVec expr.VecPred    // compiled q.FactPred (nil = all fact rows qualify)
+	prune   expr.PruneCheck // page-level can-match check (nil = every page)
+	dimIdx  []int           // operator dim index per q.Dims entry
 
 	// Per-operator-dimension admission plan, compiled once at subscription
 	// time and then applied by every worker replica: dimRef[d] reports
@@ -672,7 +671,6 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 		}
 	}
 	if q.FactPred != nil {
-		sub.factPred = expr.Compile(q.FactPred)
 		sub.factVec = expr.CompileVec(q.FactPred)
 		if !op.cfg.DisablePrune {
 			sub.prune = expr.CompilePrune(q.FactPred)
@@ -857,6 +855,7 @@ func (op *Operator) scan(fanIn chan<- *item) {
 		case fanIn <- it:
 			return true
 		case <-op.closeCh:
+			op.putItem(it)
 			return false
 		}
 	}
@@ -996,6 +995,10 @@ func (op *Operator) scan(fanIn chan<- *item) {
 					select {
 					case w.in <- wmsg{it: it}:
 					case <-op.closeCh:
+						// Undeliverable: release the page reference. The
+						// sequence gap stops the distributor short of every
+						// later tick, so no query finishes past this page.
+						op.putItem(it)
 						return
 					}
 				}
@@ -1789,7 +1792,8 @@ func (w *worker) run() {
 			w.cur = nil
 		case <-w.op.closeCh:
 			// Undeliverable: release the item's page reference rather than
-			// stranding it (the distributor will never see this seq).
+			// stranding it. The distributor never sees this seq, so it stops
+			// short of every later tick and fails the queries still open.
 			w.cur = nil
 			w.op.putItem(it)
 			return
@@ -1862,6 +1866,8 @@ func (d *distributor) stash(it *item) {
 // the output channel. Ownership of the batch (and its single ColBatch
 // reference) transfers downstream; if the query is canceling or the
 // operator shutting down, the reference is dropped so the columns recycle.
+// A batch dropped at shutdown fails the query with the shutdown cause: its
+// result is now incomplete, so a later finish must not report success.
 func (d *distributor) deliver(sub *subscription) {
 	if sub.pendCols == nil || sub.pendN == 0 {
 		return
@@ -1876,6 +1882,7 @@ func (d *distributor) deliver(sub *subscription) {
 		b.Done()
 	case <-d.op.closeCh:
 		b.Done()
+		sub.fail(d.op.shutdownCause())
 	}
 }
 

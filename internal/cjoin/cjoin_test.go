@@ -499,6 +499,56 @@ func TestCloseFailsActiveQueries(t *testing.T) {
 	}
 }
 
+// TestCloseNeverReportsPartialSuccess pins the "exact full result or typed
+// error" contract under Close: several queries sweep concurrently and the
+// operator is closed mid-stream. Every Run must return either ErrClosed or
+// nil having delivered the complete result — never nil on a truncated one.
+func TestCloseNeverReportsPartialSuccess(t *testing.T) {
+	cat := starDB(t, 30000)
+	q := &plan.StarQuery{
+		Fact: cat.MustTable("lo"), FactCols: []int{0},
+		Dims: []plan.DimJoin{{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1}}},
+	}
+	want := len(evalStarNaive(t, q))
+	const queries = 3
+	for trial := 0; trial < 4; trial++ {
+		op, err := NewOperator(cat.MustTable("lo"), []DimSpec{
+			{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0},
+		}, Config{BatchSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		started := make(chan struct{})
+		var once sync.Once
+		var wg sync.WaitGroup
+		errs := make([]error, queries)
+		got := make([]int, queries)
+		for i := 0; i < queries; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = op.Run(context.Background(), q, func(b *batch.Batch) error {
+					got[i] += b.Len()
+					once.Do(func() { close(started) })
+					return nil
+				})
+			}(i)
+		}
+		<-started
+		time.Sleep(time.Duration(trial) * 200 * time.Microsecond)
+		op.Close()
+		wg.Wait()
+		for i, err := range errs {
+			switch {
+			case err == nil && got[i] != want:
+				t.Fatalf("trial %d query %d: nil error after %d of %d rows", trial, i, got[i], want)
+			case err != nil && !errors.Is(err, ErrClosed):
+				t.Fatalf("trial %d query %d: err = %v, want nil or ErrClosed", trial, i, err)
+			}
+		}
+	}
+}
+
 func TestEmptyFactTable(t *testing.T) {
 	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 64, true)
 	lo, _ := cat.CreateTable("lo", types.NewSchema(

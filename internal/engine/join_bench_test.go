@@ -25,9 +25,7 @@ func (w *drainWriter) Put(ctx context.Context, b *batch.Batch) error {
 
 func (w *drainWriter) Close(err error) {}
 
-// runJoin drives opHashJoin over in-memory batch streams (the engine's
-// RowJoin config selects the row-materializing baseline vs the columnar
-// build/probe operator).
+// runJoin drives opHashJoin over in-memory batch streams.
 func runJoin(t testing.TB, e *Engine, n *plan.HashJoin, left, right []*batch.Batch) int {
 	t.Helper()
 	st := newStage(plan.KindHashJoin, false)
@@ -41,18 +39,10 @@ func runJoin(t testing.TB, e *Engine, n *plan.HashJoin, left, right []*batch.Bat
 // BenchmarkHashJoin measures the per-tuple probe cost of the hash join on
 // the exchange's native currency — view batches — across build cardinalities
 // (64 = a tiny dimension, 4096 = an SSB-sized dimension) and probe match
-// rates:
-//
-//   - line=rows: the retained row-materializing operator (map of boxed Row
-//     slices, per-row Datum hashing, Concat per output row) — the baseline
-//     the acceptance criterion compares against.
-//   - line=cols: the columnar joinTable build/probe with AppendGather
-//     output assembly.
-//
-// The ns/tuple metric is the acceptance number: cols must be >= 2x better
-// than rows at dimension-sized build sides. The perf-smoke CI job
-// additionally gates line=cols allocs/op (a per-batch budget — steady-state
-// probing allocates output shells and arena growth, never per row).
+// rates, through the columnar joinTable build/probe with AppendGather output
+// assembly (line=cols). The perf-smoke CI job gates its allocs/op (a
+// per-batch budget — steady-state probing allocates output shells and arena
+// growth, never per row).
 func BenchmarkHashJoin(b *testing.B) {
 	const nrows, nbatches = 1024, 32
 	cat := storage.NewCatalog(storage.NewMemDisk(storage.DiskProfile{}), 32, true)
@@ -124,24 +114,19 @@ func BenchmarkHashJoin(b *testing.B) {
 			}
 			tuples := float64(nrows * nbatches)
 
-			for _, line := range []struct {
-				name    string
-				rowJoin bool
-			}{{"rows", true}, {"cols", false}} {
-				name := fmt.Sprintf("line=%s/build=%d/hit=%d", line.name, build, hit)
-				b.Run(name, func(b *testing.B) {
-					e := &Engine{cfg: (&Config{RowJoin: line.rowJoin}).withDefaults()}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						l, rr := views(probeCBs), views(buildCBs)
-						b.StartTimer()
-						runJoin(b, e, node, l, rr)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
-				})
-			}
+			name := fmt.Sprintf("line=cols/build=%d/hit=%d", build, hit)
+			b.Run(name, func(b *testing.B) {
+				e := &Engine{cfg: (&Config{}).withDefaults()}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					l, rr := views(probeCBs), views(buildCBs)
+					b.StartTimer()
+					runJoin(b, e, node, l, rr)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
+			})
 			for _, cb := range buildCBs {
 				cb.Release()
 			}

@@ -301,12 +301,8 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 // arena, and NULL join keys never match. Row batches on either input (sort
 // and aggregate outputs, push-model clones) run through the same table via
 // per-datum paths with identical hashing, so mixed streams join
-// consistently. Config.RowJoin selects the row-at-a-time baseline instead
-// (the perf ablation).
+// consistently.
 func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right Reader, w Writer, st *Stage) error {
-	if e.cfg.RowJoin {
-		return e.opHashJoinRows(ctx, n, left, right, w, st)
-	}
 	leftW := n.Left.Schema().Len()
 	rightW := n.Right.Schema().Len()
 	jt := newJoinTable(rightW, n.RightCol)
@@ -406,65 +402,6 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 		st.addBusy(time.Since(t0))
 		if pendN >= e.cfg.BatchSize {
 			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// opHashJoinRows is the row-materializing hash join the columnar operator
-// replaced, kept behind Config.RowJoin as the rows-vs-cols ablation baseline
-// (BenchmarkHashJoin, sharebench's join-rows line).
-func (e *Engine) opHashJoinRows(ctx context.Context, n *plan.HashJoin, left, right Reader, w Writer, st *Stage) error {
-	// Build phase.
-	ht := make(map[uint64][]types.Row)
-	for {
-		b, err := right.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		for _, r := range b.RowsView() {
-			k := r[n.RightCol]
-			if k.IsNull() {
-				continue
-			}
-			h := k.Hash(hashSeed)
-			ht[h] = append(ht[h], r)
-		}
-		b.Done()
-		st.addBusy(time.Since(t0))
-	}
-	// Probe phase.
-	em := newEmitter(w, e.cfg.BatchSize)
-	for {
-		b, err := left.Next(ctx)
-		if err == io.EOF {
-			return em.flush(ctx)
-		}
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		var joined []types.Row
-		for _, l := range b.RowsView() {
-			k := l[n.LeftCol]
-			if k.IsNull() {
-				continue
-			}
-			for _, r := range ht[k.Hash(hashSeed)] {
-				if r[n.RightCol].Equal(k) {
-					joined = append(joined, l.Concat(r))
-				}
-			}
-		}
-		b.Done()
-		st.addBusy(time.Since(t0))
-		for _, r := range joined {
-			if err := em.add(ctx, r); err != nil {
 				return err
 			}
 		}

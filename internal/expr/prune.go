@@ -21,8 +21,8 @@ type PruneCheck = func(zones []storage.ZoneMap) bool
 //
 // Soundness mirrors the engine's NULL→false row semantics: zone bounds span
 // only non-NULL rows, NULL rows can never satisfy a predicate, and columns
-// whose zone map is unknown (mixed value classes, floats, pre-zone-map
-// pages) or null-only never prune. A compiled check performs no allocation:
+// whose zone map is unknown (mixed value classes, floats) or null-only
+// never prune. A compiled check performs no allocation:
 // it is consulted once per page per query on the scan hot path.
 func CompilePrune(e Expr) PruneCheck {
 	switch x := e.(type) {

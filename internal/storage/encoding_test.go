@@ -40,10 +40,38 @@ func (rowGen) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(rowGen{R: randRow(r, 1+r.Intn(8))})
 }
 
+// encodeDatums and decodeDatums run a row through the raw datum stream
+// (the encRaw segment payload).
+func encodeDatums(r types.Row) []byte {
+	var buf []byte
+	for _, d := range r {
+		buf = appendDatum(buf, d)
+	}
+	return buf
+}
+
+func decodeDatums(data []byte, ncols int) (types.Row, []byte, error) {
+	r := make(types.Row, ncols)
+	for i := range r {
+		var err error
+		if r[i], data, err = decodeDatum(data, i); err != nil {
+			return nil, nil, err
+		}
+	}
+	return r, data, nil
+}
+
 func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 	f := func(g rowGen) bool {
-		buf := EncodeRow(nil, g.R)
-		got, rest, err := DecodeRow(buf, len(g.R))
+		buf := encodeDatums(g.R)
+		size := 0
+		for _, d := range g.R {
+			size += datumEncSize(d)
+		}
+		if len(buf) != size {
+			return false
+		}
+		got, rest, err := decodeDatums(buf, len(g.R))
 		if err != nil || len(rest) != 0 {
 			return false
 		}
@@ -57,16 +85,16 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 
 func TestDecodeRowTruncated(t *testing.T) {
 	row := types.Row{types.NewString("hello"), types.NewInt(42)}
-	buf := EncodeRow(nil, row)
+	buf := encodeDatums(row)
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := DecodeRow(buf[:cut], 2); err == nil {
+		if _, _, err := decodeDatums(buf[:cut], 2); err == nil {
 			t.Errorf("decode of %d/%d bytes must fail", cut, len(buf))
 		}
 	}
 }
 
 func TestDecodeRowBadKindTag(t *testing.T) {
-	if _, _, err := DecodeRow([]byte{0xEE}, 1); err == nil {
+	if _, _, err := decodeDatum([]byte{0xEE}, 0); err == nil {
 		t.Error("unknown kind tag must fail")
 	}
 }
@@ -89,10 +117,12 @@ func TestPageBuilderPacksAndDecodes(t *testing.T) {
 	if len(page) != PageSize {
 		t.Fatalf("page size = %d", len(page))
 	}
-	got, err := DecodePage(page, 4)
+	cb, err := DecodePageCols(page, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := cb.Rows()
+	cb.Release()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded %d rows, want %d (or content mismatch)", len(got), len(want))
 	}
@@ -104,11 +134,12 @@ func TestPageBuilderPacksAndDecodes(t *testing.T) {
 func TestDecodePageEmpty(t *testing.T) {
 	b := newPageBuilder()
 	page := b.finish()
-	rows, err := DecodePage(page, 3)
-	if err != nil || len(rows) != 0 {
-		t.Fatalf("empty page: rows=%d err=%v", len(rows), err)
+	cb, err := DecodePageCols(page, 3)
+	if err != nil || cb.Len() != 0 {
+		t.Fatalf("empty page: err=%v", err)
 	}
-	if _, err := DecodePage([]byte{1}, 3); err == nil {
+	cb.Release()
+	if _, err := DecodePageCols([]byte{1}, 3); err == nil {
 		t.Error("short page must fail")
 	}
 }

@@ -178,28 +178,41 @@ func TestCorruptPageQuarantinesPermanently(t *testing.T) {
 	cb.Release()
 }
 
-func TestWriteFaultFailsMigrationAndIsCounted(t *testing.T) {
+// TestWriteFaultFailsFlushSticky checks that a failed page flush is never
+// forgotten: the rows of the failed page are gone, so every later Append
+// and Seal — even after the disk heals — returns the write error instead of
+// sealing a file that silently lacks them.
+func TestWriteFaultFailsFlushSticky(t *testing.T) {
 	fd := NewFaultDisk(NewMemDisk(DiskProfile{}))
-	c := NewCatalog(fd, 2, true)
-	tbl, pages := migrateFixture(t, c, 3, 0)
-
-	// All write-backs fail: decodes still succeed (best-effort contract) but
-	// every failed migration is counted, on both sides of the fault layer.
+	c := NewCatalog(fd, 4, true)
+	tbl, err := c.CreateTable("t", types.NewSchema(types.Column{Name: "v", Kind: types.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	fd.FailWritesAfter(0)
-	readAllPages(t, tbl, pages)
-	s := c.Pool().DecodeStats()
-	if s.Migrated != 0 || s.MigrateFailed != 3 {
-		t.Fatalf("armed: Migrated=%d MigrateFailed=%d, want 0/3", s.Migrated, s.MigrateFailed)
+	var appendErr error
+	for i := 0; appendErr == nil && i < 100000; i++ {
+		appendErr = tbl.File.Append(types.Row{types.NewInt(int64(i))})
 	}
-	if fd.InjectedWrites() != 3 {
-		t.Errorf("InjectedWrites = %d, want 3", fd.InjectedWrites())
+	if !errors.Is(appendErr, ErrInjected) {
+		t.Fatalf("Append err = %v, want ErrInjected", appendErr)
+	}
+	if fd.InjectedWrites() != 1 {
+		t.Errorf("InjectedWrites = %d, want 1", fd.InjectedWrites())
 	}
 
-	// Healed: the next sweep converges the file to v2.
 	fd.Heal()
-	readAllPages(t, tbl, pages)
-	if s := c.Pool().DecodeStats(); s.Migrated != 3 {
-		t.Errorf("healed: Migrated = %d, want 3", s.Migrated)
+	if err := tbl.File.Append(types.Row{types.NewInt(0)}); !errors.Is(err, ErrInjected) {
+		t.Errorf("Append after heal: err = %v, want the sticky ErrInjected", err)
+	}
+	if err := tbl.File.Seal(); !errors.Is(err, ErrInjected) {
+		t.Errorf("Seal after heal: err = %v, want the sticky ErrInjected", err)
+	}
+	if fd.InjectedWrites() != 1 {
+		t.Errorf("InjectedWrites = %d after heal, want 1 (no further writes)", fd.InjectedWrites())
+	}
+	if n := tbl.File.NumPages(); n != 0 {
+		t.Errorf("NumPages = %d, want 0", n)
 	}
 }
 

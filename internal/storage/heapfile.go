@@ -24,6 +24,12 @@ type HeapFile struct {
 	numRows  int
 	sealed   bool
 
+	// flushErr is the first failed page write. The builder has already
+	// been reset by then, so the page's rows are gone: every later Append
+	// and Seal returns the error rather than sealing a file that silently
+	// lacks them.
+	flushErr error
+
 	// version counts content mutations (appends, sealing). Readers that
 	// cache derived results (the engine's materialized result cache)
 	// snapshot it and treat any change as wholesale invalidation.
@@ -56,6 +62,9 @@ func (h *HeapFile) ID() FileID { return h.id }
 func (h *HeapFile) Append(rows ...types.Row) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.flushErr != nil {
+		return h.flushErr
+	}
 	if h.sealed {
 		return fmt.Errorf("storage: append to sealed heap file")
 	}
@@ -88,11 +97,12 @@ func (h *HeapFile) Version() uint64 { return h.version.Load() }
 
 // flushLocked writes the partially-filled builder page to disk and
 // publishes the page's zone maps to the pool, so pruning works from the
-// first scan without ever fetching the page.
+// first scan without ever fetching the page. A failed write is sticky.
 func (h *HeapFile) flushLocked() error {
 	page := h.builder.finish()
 	if err := h.disk.WritePage(h.id, h.numPages, page); err != nil {
-		return err
+		h.flushErr = fmt.Errorf("storage: flush page %d: %w", h.numPages, err)
+		return h.flushErr
 	}
 	h.pool.SetZones(h.id, h.numPages, ReadPageZones(page))
 	h.numPages++
@@ -104,6 +114,9 @@ func (h *HeapFile) flushLocked() error {
 func (h *HeapFile) Seal() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.flushErr != nil {
+		return h.flushErr
+	}
 	if h.sealed {
 		return nil
 	}

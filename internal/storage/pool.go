@@ -34,7 +34,7 @@ type pageKey struct {
 // frames from Fetch and must Unpin them when done; the page bytes must not
 // be accessed after Unpin.
 type Frame struct {
-	pool    *BufferPool // owning pool (migrate-on-load and decode stats)
+	pool    *BufferPool // owning pool (quarantine and decode stats)
 	key     pageKey
 	data    []byte
 	pins    int
@@ -63,72 +63,23 @@ type Frame struct {
 // Data returns the page bytes. Valid only while the frame is pinned.
 func (fr *Frame) Data() []byte { return fr.data }
 
-// decodeLocked populates the columnar cache on first use per residency,
-// aging v1 pages as a side effect: a page that still decodes through the
-// v1 transposing loop is re-encoded as a v2 column-major page and installed
-// in the frame, so hot data pays the compat decoder at most once. The
-// returned writeBack page, when non-nil, must be flushed to disk by the
-// caller after releasing decMu — the write (real I/O, or a charged latency
-// sleep on the simulated disk) must not stall concurrent readers of the
-// already-decoded frame.
-func (fr *Frame) decodeLocked(ncols int) (writeBack []byte, err error) {
+// decodeLocked populates the columnar cache on first use per residency.
+func (fr *Frame) decodeLocked(ncols int) error {
 	if fr.decoded {
-		return nil, nil
+		return nil
 	}
 	if fr.decErr != nil {
-		return nil, fr.decErr
-	}
-	ver, err := pageVersion(fr.data)
-	if err != nil {
-		fr.decErr = err
-		return nil, err
+		return fr.decErr
 	}
 	cb, err := DecodePageCols(fr.data, ncols)
 	if err != nil {
 		fr.decErr = err
-		return nil, err
+		return err
 	}
 	fr.cb = cb
 	fr.decoded = true
-	if p := fr.pool; p != nil {
-		if ver == 1 {
-			p.decodedV1.Add(1)
-			if page, ok := reencodePageV2(cb); ok {
-				copy(fr.data, page)
-				// The re-encode went through the builder, so the new
-				// page carries zone maps; publish them now rather than
-				// waiting for the write-back to land.
-				p.backfillZones(fr.key, ReadPageZones(page), cb)
-				return page, nil
-			}
-		} else {
-			p.decodedV2.Add(1)
-		}
-		// Pages that predate the zone directory (v1 pages that did not
-		// re-encode, version-2 pages) get bounds computed once per
-		// residency from the decoded columns, so they stop defeating
-		// pruning while they await migration.
-		p.backfillZones(fr.key, ReadPageZones(fr.data), cb)
-	}
-	return nil, nil
-}
-
-// migrate flushes a re-encoded v2 page back to disk (mixed v1/v2 files
-// converge to all-v2). Best-effort: on failure the on-disk page stays v1
-// and the next residency simply migrates again — but the failure is counted
-// (DecodeStats.MigrateFailed), so silently rotting write paths are
-// observable instead of presenting as a migration that never converges.
-func (fr *Frame) migrate(writeBack []byte) {
-	if writeBack == nil {
-		return
-	}
-	if p := fr.pool; p != nil {
-		if p.disk.WritePage(fr.key.file, fr.key.idx, writeBack) == nil {
-			p.migrated.Add(1)
-		} else {
-			p.migrateFailed.Add(1)
-		}
-	}
+	fr.pool.decoded.Add(1)
+	return nil
 }
 
 // DecodedCols returns the frame's page decoded into a columnar batch,
@@ -137,8 +88,7 @@ func (fr *Frame) migrate(writeBack []byte) {
 // batch may be retained past Unpin.
 func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
 	fr.decMu.Lock()
-	writeBack, err := fr.decodeLocked(ncols)
-	if err != nil {
+	if err := fr.decodeLocked(ncols); err != nil {
 		fr.decMu.Unlock()
 		// A page that read fine but fails to decode is corrupt on disk:
 		// permanent, quarantined alongside unreadable pages.
@@ -146,7 +96,6 @@ func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
 	}
 	fr.cb.Retain()
 	fr.decMu.Unlock()
-	fr.migrate(writeBack)
 	return fr.cb, nil
 }
 
@@ -156,8 +105,7 @@ func (fr *Frame) DecodedCols(ncols int) (*vec.ColBatch, error) {
 // may be retained after Unpin.
 func (fr *Frame) DecodedRows(ncols int) ([]types.Row, error) {
 	fr.decMu.Lock()
-	writeBack, err := fr.decodeLocked(ncols)
-	if err != nil {
+	if err := fr.decodeLocked(ncols); err != nil {
 		fr.decMu.Unlock()
 		return nil, fr.pool.quarantine(fr.key, MarkPermanent(err))
 	}
@@ -167,7 +115,6 @@ func (fr *Frame) DecodedRows(ncols int) ([]types.Row, error) {
 	}
 	rows := fr.rows
 	fr.decMu.Unlock()
-	fr.migrate(writeBack)
 	return rows, nil
 }
 
@@ -178,28 +125,20 @@ type PoolStats struct {
 	Evictions int64
 }
 
-// DecodeStats count page decodes per on-disk format plus v1→v2 migrations,
-// the observability hook for the compat path's aging: on a converged system
-// DecodedV1 stops growing. Fetched/Pruned/Decoded are the zone-map pruning
-// counters: Pruned pages were ruled out by zone maps before any fetch, so
-// on a selective clustered sweep Fetched+Pruned ≈ pages touched logically
-// while Fetched (and Decoded) stay proportional to the relevant pages only.
+// DecodeStats are the page decode and zone-map pruning counters: Pruned
+// pages were ruled out by zone maps before any fetch, so on a selective
+// clustered sweep Fetched+Pruned ≈ pages touched logically while Fetched
+// (and Decoded) stay proportional to the relevant pages only.
 type DecodeStats struct {
-	DecodedV1 int64 // pages decoded through the v1 transposing loop
-	DecodedV2 int64 // pages decoded through the v2 bulk column decoder
-	Migrated  int64 // v1 pages re-encoded as v2 and written back
-	Fetched   int64 // demand fetches served (pool hits + disk reads)
-	Pruned    int64 // page fetches avoided by zone-map pruning
-	Decoded   int64 // DecodedV1 + DecodedV2
+	Fetched int64 // demand fetches served (pool hits + disk reads)
+	Pruned  int64 // page fetches avoided by zone-map pruning
+	Decoded int64 // pages decoded (at most once per pool residency)
 
 	// Fault-handling counters. Retries counts transient read errors that
 	// were retried (with backoff) before the page loaded or quarantined;
-	// Quarantined counts pages settled into a permanent PageError;
-	// MigrateFailed counts best-effort v1→v2 write-backs that failed (the
-	// on-disk page stays v1 — silent only in effect, never in the stats).
-	Retries       int64
-	Quarantined   int64
-	MigrateFailed int64
+	// Quarantined counts pages settled into a permanent PageError.
+	Retries     int64
+	Quarantined int64
 }
 
 // BufferPool caches disk pages in a fixed number of frames with clock
@@ -220,15 +159,11 @@ type BufferPool struct {
 	evictions  atomic.Int64
 	prefetched atomic.Int64
 
-	decodedV1 atomic.Int64
-	decodedV2 atomic.Int64
-	migrated  atomic.Int64
+	decoded   atomic.Int64
 	fetched   atomic.Int64
 	pruned    atomic.Int64
-
-	migrateFailed atomic.Int64
-	retries       atomic.Int64
-	quarCount     atomic.Int64
+	retries   atomic.Int64
+	quarCount atomic.Int64
 
 	// Retry policy for transient read errors (SetRetryPolicy overrides).
 	retryMax  int
@@ -246,9 +181,8 @@ type BufferPool struct {
 
 	// Per-page zone maps, keyed like the frame table but never evicted
 	// (a few dozen bytes per page versus a 32KiB frame). Populated by the
-	// heap-file writer at flush time and backfilled by the first decode of
-	// pages that predate the zone directory. Page contents are immutable
-	// after flush, so entries never go stale.
+	// heap-file writer at flush time, so zones are known before any fetch.
+	// Page contents are immutable after flush, so entries never go stale.
 	zmu   sync.RWMutex
 	zones map[pageKey][]ZoneMap
 
@@ -590,26 +524,6 @@ func (p *BufferPool) Zones(f FileID, idx int) []ZoneMap {
 	return z
 }
 
-// backfillZones publishes zone maps for a page first seen without them,
-// computing bounds from the decoded columns when the page bytes carry no
-// zone directory. No-op when the page's zones are already known.
-func (p *BufferPool) backfillZones(key pageKey, zones []ZoneMap, cb *vec.ColBatch) {
-	p.zmu.RLock()
-	_, known := p.zones[key]
-	p.zmu.RUnlock()
-	if known {
-		return
-	}
-	if zones == nil {
-		zones = ZonesFromBatch(cb)
-	}
-	p.zmu.Lock()
-	if _, known := p.zones[key]; !known {
-		p.zones[key] = zones
-	}
-	p.zmu.Unlock()
-}
-
 // NotePruned counts a page fetch avoided by zone-map pruning (the scan
 // layers report these; the pool never sees the page).
 func (p *BufferPool) NotePruned() { p.pruned.Add(1) }
@@ -623,18 +537,13 @@ func (p *BufferPool) Stats() PoolStats {
 	}
 }
 
-// DecodeStats returns cumulative per-format decode and migration counters.
+// DecodeStats returns cumulative decode, pruning and fault counters.
 func (p *BufferPool) DecodeStats() DecodeStats {
-	v1, v2 := p.decodedV1.Load(), p.decodedV2.Load()
 	return DecodeStats{
-		DecodedV1:     v1,
-		DecodedV2:     v2,
-		Migrated:      p.migrated.Load(),
-		Fetched:       p.fetched.Load(),
-		Pruned:        p.pruned.Load(),
-		Decoded:       v1 + v2,
-		Retries:       p.retries.Load(),
-		Quarantined:   p.quarCount.Load(),
-		MigrateFailed: p.migrateFailed.Load(),
+		Fetched:     p.fetched.Load(),
+		Pruned:      p.pruned.Load(),
+		Decoded:     p.decoded.Load(),
+		Retries:     p.retries.Load(),
+		Quarantined: p.quarCount.Load(),
 	}
 }
