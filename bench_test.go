@@ -251,11 +251,11 @@ func BenchmarkScenarioIV(b *testing.B) {
 func benchPages() []*batch.Batch {
 	pages := make([]*batch.Batch, 64)
 	for i := range pages {
-		bt := batch.New(256)
-		for j := 0; j < 256; j++ {
-			bt.Append(types.Row{types.NewInt(int64(j)), types.NewFloat(float64(j)), types.NewString("payload-payload")})
+		rows := make([]types.Row, 256)
+		for j := range rows {
+			rows[j] = types.Row{types.NewInt(int64(j)), types.NewFloat(float64(j)), types.NewString("payload-payload")}
 		}
-		pages[i] = bt
+		pages[i] = batch.Of(rows...)
 	}
 	return pages
 }
@@ -270,11 +270,14 @@ func BenchmarkSPLvsFIFO(b *testing.B) {
 				for c := 0; c < consumers; c++ {
 					chans[c] = make(chan *batch.Batch, 8)
 					wg.Add(1)
-					go func(ch chan *batch.Batch) {
+					go func(ch chan *batch.Batch, copies bool) {
 						defer wg.Done()
-						for range ch {
+						for p := range ch {
+							if copies {
+								p.Done() // satellites own their copies
+							}
 						}
-					}(chans[c])
+					}(chans[c], c > 0)
 				}
 				// The producer copies each page into every consumer FIFO.
 				for _, p := range pages {
@@ -368,9 +371,11 @@ func BenchmarkSharedScan(b *testing.B) {
 						cur := tbl.Attach()
 						defer cur.Close()
 						for {
-							if _, ok, err := cur.NextRows(); err != nil || !ok {
+							cb, _, ok, err := cur.NextCols()
+							if err != nil || !ok {
 								return
 							}
+							cb.Release()
 						}
 					}(time.Duration(s) * 2 * time.Millisecond)
 				}
@@ -468,47 +473,6 @@ func BenchmarkSPWindow(b *testing.B) {
 			}
 		}
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Ablation: scan readahead — prefetching the next page while the current one
-// decodes hides disk latency on sequential sweeps.
-
-func BenchmarkScanPrefetch(b *testing.B) {
-	for _, prefetch := range []bool{false, true} {
-		disk := storage.NewMemDisk(storage.DiskProfile{ReadLatency: 100 * time.Microsecond, MaxConcurrent: 4})
-		cat := storage.NewCatalog(disk, 16, true)
-		tbl, err := cat.CreateTable("t", types.NewSchema(
-			types.Column{Name: "k", Kind: types.KindInt},
-			types.Column{Name: "pad", Kind: types.KindString},
-		))
-		if err != nil {
-			b.Fatal(err)
-		}
-		pad := types.NewString(string(make([]byte, 120)))
-		for i := 0; i < 30000; i++ {
-			if err := tbl.File.Append(types.Row{types.NewInt(int64(i)), pad}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := tbl.File.Seal(); err != nil {
-			b.Fatal(err)
-		}
-		tbl.ScanGroup().SetPrefetch(prefetch)
-		b.Run(fmt.Sprintf("prefetch=%v", prefetch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cur := tbl.Attach()
-				for {
-					if _, ok, err := cur.NextRows(); err != nil {
-						b.Fatal(err)
-					} else if !ok {
-						break
-					}
-				}
-				cur.Close()
-			}
-		})
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import (
 	"log"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -169,6 +170,29 @@ func parseResidency(s string) (repro.Residency, error) {
 	}
 }
 
+// scenarioNames lists every -scenario value, in run order.
+var scenarioNames = []string{"1", "2", "2r", "3", "4", "4p", "5", "f"}
+
+// parseScenarios turns the -scenario flag ("all" or a comma-separated list
+// of scenarioNames) into the set to run, rejecting unknown names.
+func parseScenarios(s string) (map[string]bool, error) {
+	run := map[string]bool{}
+	if s == "all" {
+		for _, name := range scenarioNames {
+			run[name] = true
+		}
+		return run, nil
+	}
+	for _, name := range strings.Split(s, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(scenarioNames, name) {
+			return nil, fmt.Errorf("unknown scenario %q (want %s or all)", name, strings.Join(scenarioNames, ", "))
+		}
+		run[name] = true
+	}
+	return run, nil
+}
+
 // mustInts and friends adapt the parsers for flag handling in main.
 func mustInts(s string) []int {
 	v, err := parseIntList(s)
@@ -207,15 +231,9 @@ func main() {
 	flag.Parse()
 	ctx := context.Background()
 
-	run := map[string]bool{}
-	if *scenario == "all" {
-		run["1"], run["2"], run["2r"], run["3"], run["4"], run["4p"], run["5"], run["f"] = true, true, true, true, true, true, true, true
-	} else {
-		for _, s := range strings.Split(*scenario, ",") {
-			run[strings.TrimSpace(s)] = true
-		}
-	}
-	if len(run) == 0 {
+	run, err := parseScenarios(*scenario)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
 	}

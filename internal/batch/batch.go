@@ -7,20 +7,18 @@
 //
 // # Columnar exchange
 //
-// A batch comes in two forms. A row batch (New/Of/Append) carries
-// materialized rows in Rows — the shape aggregate and sort outputs take. A
-// view batch (FromView) carries a columnar view instead: a refcounted
-// vec.ColBatch plus a selection vector naming the batch's rows within it.
-// View batches are how the columnar form of the data survives operator
-// boundaries: a scan publishes (page batch, surviving selection), a filter
-// narrows the selection and republishes the same page batch, a projection
-// republishes a zero-copy column remap, and the CJOIN distributor publishes
-// its routed output columns directly — no rows are built anywhere on that
-// path. Row materialization is lazy (RowsView) and happens at most once per
-// batch, only for consumers that genuinely need rows (sort, hash join, the
-// root drain, push-model clones).
+// Every batch is a columnar view: a refcounted vec.ColBatch plus a selection
+// vector naming the batch's rows within it. A scan publishes (page batch,
+// surviving selection), a filter narrows the selection and republishes the
+// same page batch, a projection republishes a zero-copy column remap, the
+// CJOIN distributor publishes its routed output columns directly, and
+// operators that compute new rows (aggregate, sort, expression projection)
+// append them into a fresh pooled ColBatch. Operators therefore see exactly
+// one batch form. Row materialization is lazy (RowsView) and happens at most
+// once per batch, only for consumers that genuinely need rows (sort,
+// expression projection and aggregation, the root drain).
 //
-// View batches are reference-counted so the underlying ColBatch recycles
+// Batches are reference-counted so the underlying ColBatch recycles
 // deterministically: the creator's reference transfers downstream with the
 // batch, every additional concurrent consumer (an SPL reader) takes its own
 // via Retain, and each consumer calls Done when finished with the batch.
@@ -41,8 +39,10 @@ import (
 // of the page size in the original page-based exchange.
 const DefaultCapacity = 1024
 
-// view is the columnar backing of a view batch.
-type view struct {
+// Batch is a page of rows in columnar form. Once a producer hands a batch
+// downstream the batch must be treated as immutable; this is what makes the
+// zero-copy SPL hand-off safe.
+type Batch struct {
 	cb  *vec.ColBatch // the batch owns references counted by refs
 	sel []int32       // rows of the batch within cb; nil = every row of cb
 
@@ -60,85 +60,57 @@ type view struct {
 	mat  bool
 }
 
-// Batch is a page of rows. Once a producer hands a batch downstream the
-// batch and its rows must be treated as immutable; this is what makes the
-// zero-copy SPL hand-off safe.
-type Batch struct {
-	// Rows is the materialized row view of a row batch. For view batches it
-	// stays nil — consumers use RowsView (or Cols). Test and bulk-load code
-	// may keep building row batches and reading Rows directly.
-	Rows []types.Row
-
-	view *view
-}
-
-// New returns an empty row batch with the given row capacity.
-func New(capacity int) *Batch {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Batch{Rows: make([]types.Row, 0, capacity)}
-}
-
-// Of builds a row batch from the given rows (testing convenience).
-func Of(rows ...types.Row) *Batch { return &Batch{Rows: rows} }
-
-// FromView builds a view batch: row i of the batch is row sel[i] of cb (sel
-// nil means row i is row i of cb). Ownership of the caller's reference on cb
+// FromView builds a batch: row i of the batch is row sel[i] of cb (sel nil
+// means row i is row i of cb). Ownership of the caller's reference on cb
 // moves into the batch; the batch releases cb when its own reference count
 // (the implicit creator reference plus any Retains) drops to zero via Done.
 // back, when non-nil, supplies a shared full-width row view of cb for lazy
 // materialization (may return nil on failure; rows then come from cb).
 func FromView(cb *vec.ColBatch, sel []int32, back func() []types.Row) *Batch {
-	v := &view{cb: cb, sel: sel, back: back}
-	v.refs.Store(1)
-	return &Batch{view: v}
+	b := &Batch{cb: cb, sel: sel, back: back}
+	b.refs.Store(1)
+	return b
 }
 
-// Retain takes an additional reference on a view batch for a new concurrent
-// consumer. Every Retain must be paired with a Done. No-op on row batches.
-func (b *Batch) Retain() {
-	if b.view != nil {
-		b.view.refs.Add(1)
+// Of builds a batch holding the given rows (testing convenience).
+func Of(rows ...types.Row) *Batch {
+	width := 0
+	if len(rows) > 0 {
+		width = len(rows[0])
 	}
+	cb := vec.Get(width)
+	for _, r := range rows {
+		cb.AppendRow(r)
+	}
+	cb.Seal(len(rows))
+	return FromView(cb, nil, nil)
 }
 
-// Done releases one reference on a view batch; the last release returns the
-// underlying ColBatch to its pool. A consumer must not touch the batch (or
-// slices obtained from Cols) after its Done. No-op on row batches.
+// Retain takes an additional reference for a new concurrent consumer. Every
+// Retain must be paired with a Done.
+func (b *Batch) Retain() { b.refs.Add(1) }
+
+// Done releases one reference; the last release returns the underlying
+// ColBatch to its pool. A consumer must not touch the batch (or slices
+// obtained from Cols) after its Done.
 func (b *Batch) Done() {
-	v := b.view
-	if v == nil {
-		return
-	}
-	switch n := v.refs.Add(-1); {
+	switch n := b.refs.Add(-1); {
 	case n == 0:
-		v.cb.Release()
+		b.cb.Release()
 	case n < 0:
 		panic("batch: Done without matching reference")
 	}
 }
 
-// Cols returns the columnar view of a view batch: the column batch and the
-// ascending selection naming this batch's rows within it (nil = every row).
-// ok is false for row batches. The view is read-only and valid while the
-// caller holds a reference (i.e. until its Done); concurrent consumers may
-// all read it.
-func (b *Batch) Cols() (cb *vec.ColBatch, sel []int32, ok bool) {
-	if b.view == nil {
-		return nil, nil, false
-	}
-	return b.view.cb, b.view.sel, true
-}
+// Cols returns the columnar view: the column batch and the ascending
+// selection naming this batch's rows within it (nil = every row). The view
+// is read-only and valid while the caller holds a reference (i.e. until its
+// Done); concurrent consumers may all read it.
+func (b *Batch) Cols() (cb *vec.ColBatch, sel []int32) { return b.cb, b.sel }
 
 // Backing returns the batch's backing-row provider (see FromView), for
 // operators that republish a narrowed view of the same column batch.
-func (b *Batch) Backing() func() []types.Row {
-	if b.view == nil {
-		return nil
-	}
-	return b.view.back
-}
+func (b *Batch) Backing() func() []types.Row { return b.back }
 
 // RowsView returns the batch's rows, materializing them from the columnar
 // view on first use (at most once per batch, shared by all consumers). The
@@ -146,72 +118,60 @@ func (b *Batch) Backing() func() []types.Row {
 // valid after the batch's ColBatch is recycled — datums copy out payloads
 // and string bytes are independent heap objects.
 func (b *Batch) RowsView() []types.Row {
-	v := b.view
-	if v == nil {
-		return b.Rows
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.mat {
-		return v.rows
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.mat {
+		return b.rows
 	}
 	var back []types.Row
-	if v.back != nil {
-		back = v.back()
+	if b.back != nil {
+		back = b.back()
 	}
-	sel := v.sel
+	sel := b.sel
 	switch {
 	case back != nil && sel != nil:
 		rows := make([]types.Row, len(sel))
 		for i, r := range sel {
 			rows[i] = back[r]
 		}
-		v.rows = rows
+		b.rows = rows
 	case back != nil:
-		v.rows = back
+		b.rows = back
 	case sel != nil:
 		rows := make([]types.Row, len(sel))
 		for i, r := range sel {
-			rows[i] = v.cb.Row(int(r))
+			rows[i] = b.cb.Row(int(r))
 		}
-		v.rows = rows
+		b.rows = rows
 	default:
-		v.rows = v.cb.Rows()
+		b.rows = b.cb.Rows()
 	}
-	v.mat = true
-	return v.rows
+	b.mat = true
+	return b.rows
 }
 
 // Len returns the number of rows in the batch.
 func (b *Batch) Len() int {
-	if v := b.view; v != nil {
-		if v.sel != nil {
-			return len(v.sel)
-		}
-		return v.cb.Len()
+	if b.sel != nil {
+		return len(b.sel)
 	}
-	return len(b.Rows)
+	return b.cb.Len()
 }
 
-// Append adds a row to a row batch.
-func (b *Batch) Append(r types.Row) { b.Rows = append(b.Rows, r) }
-
-// Full reports whether a row batch reached its capacity.
-func (b *Batch) Full() bool { return len(b.Rows) == cap(b.Rows) }
-
-// Reset empties a row batch, retaining capacity. Only valid for batches that
-// have not been handed downstream.
-func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
-
-// Clone returns a deep row-batch copy of the batch (fresh row slices; datum
-// payloads copied). This is the per-consumer copy the push-based SP model
-// performs — its cost is exactly the overhead Scenario I measures. The
-// caller must hold a reference on a view batch while cloning.
+// Clone returns a deep copy of the batch: a fresh pooled ColBatch holding
+// the selected rows column by column, independent of the original's
+// ColBatch. This is the per-consumer copy the push-based SP model performs
+// — its cost is exactly the overhead Scenario I measures. The caller must
+// hold a reference while cloning.
 func (b *Batch) Clone() *Batch {
-	src := b.RowsView()
-	c := &Batch{Rows: make([]types.Row, len(src))}
-	for i, r := range src {
-		c.Rows[i] = r.Clone()
+	sel := b.sel
+	if sel == nil {
+		sel = b.cb.AllSel()
 	}
-	return c
+	c := vec.Get(b.cb.NumCols())
+	for i := 0; i < b.cb.NumCols(); i++ {
+		c.Col(i).AppendGather(b.cb.Col(i), sel)
+	}
+	c.Seal(len(sel))
+	return FromView(c, nil, nil)
 }

@@ -26,9 +26,9 @@ func TestViewBatchColsAndLen(t *testing.T) {
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", b.Len())
 	}
-	gcb, gsel, ok := b.Cols()
-	if !ok || gcb != cb || len(gsel) != 3 {
-		t.Fatalf("Cols() = %v sel=%v ok=%v", gcb, gsel, ok)
+	gcb, gsel := b.Cols()
+	if gcb != cb || len(gsel) != 3 {
+		t.Fatalf("Cols() = %v sel=%v", gcb, gsel)
 	}
 	rows := b.RowsView()
 	if len(rows) != 3 || rows[1][0].I != 3 {
@@ -119,35 +119,22 @@ func TestViewBatchConcurrentRowsView(t *testing.T) {
 	b.Done()
 }
 
-func TestViewBatchCloneIsRowBatch(t *testing.T) {
-	cb := viewFixture(t, 4)
-	b := FromView(cb, []int32{0, 3}, nil)
-	c := b.Clone()
-	if len(c.Rows) != 2 || c.Rows[1][0].I != 3 {
-		t.Fatalf("clone rows = %v", c.Rows)
-	}
-	if _, _, ok := c.Cols(); ok {
-		t.Fatal("clone must be a plain row batch")
-	}
-	b.Done()
-	c.Done() // no-op on row batches
-	if c.Rows[1][0].I != 3 {
-		t.Fatal("row batch mutated by Done")
-	}
-}
-
-func TestRowBatchViewAccessors(t *testing.T) {
-	b := Of(types.Row{types.NewInt(9)})
-	if _, _, ok := b.Cols(); ok {
-		t.Fatal("row batch reports a columnar view")
+func TestOfBuildsView(t *testing.T) {
+	b := Of(types.Row{types.NewInt(9)}, types.Row{types.NewInt(10)})
+	cb, sel := b.Cols()
+	if cb.Len() != 2 || sel != nil || b.Len() != 2 {
+		t.Fatalf("Of view: cb.Len=%d sel=%v Len=%d", cb.Len(), sel, b.Len())
 	}
 	if b.Backing() != nil {
-		t.Fatal("row batch reports a backing provider")
+		t.Fatal("Of batch reports a backing provider")
 	}
-	if got := b.RowsView(); len(got) != 1 || got[0][0].I != 9 {
+	if got := b.RowsView(); len(got) != 2 || got[1][0].I != 10 {
 		t.Fatalf("RowsView = %v", got)
 	}
-	b.Retain()
+	e := Of()
+	if e.Len() != 0 || len(e.RowsView()) != 0 {
+		t.Fatal("empty Of batch must have no rows")
+	}
+	e.Done()
 	b.Done()
-	b.Done() // all no-ops
 }

@@ -58,7 +58,7 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 			ds := newDimStateFor(t, di, spec, op)
 			ds.admitQuery(sub)
 			if !sub.dimRef[di] {
-				for i := range ds.tab.rows {
+				for i := range ds.tab.keys {
 					if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
 						t.Fatalf("query %d dim %d: bit set on unreferenced dimension", qi, di)
 					}
@@ -73,7 +73,8 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 					pred = expr.Compile(d.Pred)
 				}
 			}
-			for i, r := range ds.tab.rows {
+			for i := range ds.tab.keys {
+				r := ds.tab.cb.Row(i)
 				want := pred == nil || pred(r)
 				got := bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id)
 				if got != want {
@@ -83,7 +84,7 @@ func TestVectorizedAdmissionMatchesScalar(t *testing.T) {
 			}
 			// Retirement must clear exactly this query's bits.
 			ds.finishQuery(sub)
-			for i := range ds.tab.rows {
+			for i := range ds.tab.keys {
 				if bitvec.GetWord(ds.ebits[i*ds.estride:(i+1)*ds.estride], sub.id) {
 					t.Fatalf("query %d dim %d entry %d: bit survives retirement", qi, di, i)
 				}

@@ -93,9 +93,6 @@ type Config struct {
 	// Workers is the number of parallel probe pipelines the fact stream is
 	// partitioned across. Default: runtime.GOMAXPROCS(0).
 	Workers int
-	// DisablePrune turns off zone-map page pruning in the shared scan (the
-	// pruning-on/off ablation toggle; pruning is on by default).
-	DisablePrune bool
 	// DisableFold turns off predicate-subsumption query folding: with
 	// folding on (the default), a query whose fact predicate is implied by
 	// a running query's — and whose dimension set and predicates match it
@@ -378,10 +375,10 @@ type subscription struct {
 	failCause error
 
 	// Distributor-side accumulation: routed tuples are appended column-wise
-	// into a pooled ColBatch and delivered as a columnar view batch, so the
+	// into a pooled ColBatch and delivered as a batch over it, so the
 	// engine's grouped aggregation above the CJOIN stage consumes the GQP's
 	// output vectorized — no rows are built unless a row-bound consumer
-	// (sort, push-model satellite copies) asks.
+	// (sort, expression aggregates, the root drain) asks.
 	pendCols *vec.ColBatch
 	pendN    int
 }
@@ -672,7 +669,7 @@ func (op *Operator) newSubscription(q *plan.StarQuery) (*subscription, error) {
 	}
 	if q.FactPred != nil {
 		sub.factVec = expr.CompileVec(q.FactPred)
-		if !op.cfg.DisablePrune {
+		if op.fact.ScanGroup().Pruning() {
 			sub.prune = expr.CompilePrune(q.FactPred)
 		}
 	}
@@ -897,24 +894,22 @@ func (op *Operator) scan(fanIn chan<- *item) {
 			// pagesLeft unconditionally) — it contributes zero tuples to
 			// every query, exactly as if it had been fetched and annotated.
 			fetchPos := pos
-			if !op.cfg.DisablePrune {
-				if zones := op.fact.File.PageZones(fetchPos); zones != nil && len(active) > 0 {
-					pruned := true
-					for _, sub := range active {
-						if sub.canceled.Load() {
-							continue
-						}
-						if sub.prune == nil || op.safePrune(sub, zones) {
-							pruned = false
-							break
-						}
+			if zones := op.fact.File.PageZones(fetchPos); zones != nil && len(active) > 0 {
+				pruned := true
+				for _, sub := range active {
+					if sub.canceled.Load() {
+						continue
 					}
-					if pruned {
-						pos = (pos + 1) % npages
-						op.stats.pagesPruned.Add(1)
-						op.fact.File.NotePruned()
-						goto retireTick
+					if sub.prune == nil || op.safePrune(sub, zones) {
+						pruned = false
+						break
 					}
+				}
+				if pruned {
+					pos = (pos + 1) % npages
+					op.stats.pagesPruned.Add(1)
+					op.fact.File.NotePruned()
+					goto retireTick
 				}
 			}
 			{
@@ -1199,7 +1194,6 @@ type dimTable struct {
 	spec DimSpec
 
 	keys     []types.Datum // entry join keys
-	rows     []types.Row   // entry dimension rows
 	slots    []int32       // open-addressing slots: entry index+1, 0 = empty
 	slotMask uint32        // len(slots)-1 (power of two)
 
@@ -1215,10 +1209,11 @@ type dimTable struct {
 	directMin int64
 	directMax int64
 
-	// cb is the table's rows in columnar form, entry-aligned with keys/rows.
-	// Admission evaluates each query's vectorized dimension predicate over
-	// this batch instead of walking rows one at a time. Built once, never
-	// released (the index pins the rows for the operator's lifetime anyway).
+	// cb holds the entry rows in columnar form (row e is entry e): the
+	// distributor routes payload columns from it and admission evaluates
+	// each query's vectorized dimension predicate over it. Built once,
+	// never released (it lives as long as the operator). nil when the
+	// table has no entries.
 	cb *vec.ColBatch
 }
 
@@ -1233,6 +1228,7 @@ func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 	}
 	dt := &dimTable{idx: idx, spec: spec}
 	allStr := true
+	cb := vec.Get(spec.Table.Schema.Len())
 	for _, r := range all {
 		k := r[spec.DimKeyCol]
 		if k.IsNull() {
@@ -1242,18 +1238,18 @@ func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 			allStr = false
 		}
 		dt.keys = append(dt.keys, k)
-		dt.rows = append(dt.rows, r)
+		cb.AppendRow(r)
 	}
 	n := len(dt.keys)
 	if n >= 1<<30 {
+		cb.Release()
 		return nil, fmt.Errorf("cjoin: dimension %q too large (%d rows)", spec.Table.Name, n)
 	}
 	if n > 0 {
-		dt.cb = vec.Get(spec.Table.Schema.Len())
-		for _, r := range dt.rows {
-			dt.cb.AppendRow(r)
-		}
-		dt.cb.Seal(n)
+		cb.Seal(n)
+		dt.cb = cb
+	} else {
+		cb.Release()
 	}
 	if allStr && n > 0 {
 		dt.strDict = make(map[string]int32, n)
@@ -1481,7 +1477,7 @@ func newDimState(tab *dimTable, op *Operator) dimState {
 		tab:     tab,
 		op:      op,
 		estride: 1,
-		ebits:   make([]uint64, len(tab.rows)),
+		ebits:   make([]uint64, len(tab.keys)),
 		mask:    make([]uint64, 1),
 	}
 }
@@ -1491,7 +1487,7 @@ func newDimState(tab *dimTable, op *Operator) dimState {
 func (ds *dimState) growTo(id int) {
 	need := id/64 + 1
 	if need > ds.estride {
-		n := len(ds.tab.rows)
+		n := len(ds.tab.keys)
 		nb := make([]uint64, n*need)
 		for i := 0; i < n; i++ {
 			copy(nb[i*need:], ds.ebits[i*ds.estride:(i+1)*ds.estride])
@@ -1526,7 +1522,7 @@ func (ds *dimState) admitQuery(sub *subscription) {
 		}
 		return
 	}
-	for i := range ds.tab.rows {
+	for i := range ds.tab.keys {
 		ds.ebits[i*es+w] |= bit
 	}
 }
@@ -1554,7 +1550,7 @@ func (ds *dimState) finishQuery(sub *subscription) {
 	bitvec.ClearWord(ds.mask, sub.id)
 	w, bit := sub.id/64, uint64(1)<<(uint(sub.id)&63)
 	es := ds.estride
-	for i := range ds.tab.rows {
+	for i := range ds.tab.keys {
 		ds.ebits[i*es+w] &^= bit
 	}
 }
@@ -1862,7 +1858,7 @@ func (d *distributor) stash(it *item) {
 	d.ring[int(it.seq)&(len(d.ring)-1)] = it
 }
 
-// deliver seals sub's pending columns into a view batch and flushes it to
+// deliver seals sub's pending columns into a batch and flushes it to
 // the output channel. Ownership of the batch (and its single ColBatch
 // reference) transfers downstream; if the query is canceling or the
 // operator shutting down, the reference is dropped so the columns recycle.

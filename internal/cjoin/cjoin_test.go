@@ -477,7 +477,13 @@ func TestCloseFailsActiveQueries(t *testing.T) {
 			Fact: cat.MustTable("lo"), FactCols: []int{0},
 			Dims: []plan.DimJoin{{Table: cat.MustTable("cust"), FactKeyCol: 1, DimKeyCol: 0, PayloadCols: []int{1}}},
 		}, func(*batch.Batch) error {
-			once.Do(func() { close(started) })
+			// Hold the consumer until Close has begun, so the query is
+			// still active when the operator shuts down (otherwise a fast
+			// sweep can legitimately complete first).
+			once.Do(func() {
+				close(started)
+				<-op.closeCh
+			})
 			return nil
 		})
 	}()

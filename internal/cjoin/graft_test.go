@@ -155,8 +155,9 @@ func runStarAsync(op *Operator, q *plan.StarQuery) func() ([]types.Row, error) {
 // folded.
 func TestGraftRandomImpliedPairsConcurrent(t *testing.T) {
 	cat := slowStarDB(t, 3000, 100*time.Microsecond)
-	fold := newOpCfg(t, cat, Config{BatchSize: 64, DisablePrune: true})
-	nofold := newOpCfg(t, cat, Config{BatchSize: 64, DisableFold: true, DisablePrune: true})
+	cat.MustTable("lo").ScanGroup().SetPrune(false)
+	fold := newOpCfg(t, cat, Config{BatchSize: 64})
+	nofold := newOpCfg(t, cat, Config{BatchSize: 64, DisableFold: true})
 	r := rand.New(rand.NewSource(31))
 
 	const waves = 300
@@ -199,7 +200,8 @@ func TestGraftRandomImpliedPairsConcurrent(t *testing.T) {
 // retirement leaks no slots.
 func TestGraftRecycleSlots(t *testing.T) {
 	cat := slowStarDB(t, 3000, 100*time.Microsecond)
-	op := newOpCfg(t, cat, Config{BatchSize: 64, DisablePrune: true})
+	cat.MustTable("lo").ScanGroup().SetPrune(false)
+	op := newOpCfg(t, cat, Config{BatchSize: 64})
 	r := rand.New(rand.NewSource(83))
 
 	const waves = 25
@@ -238,8 +240,9 @@ func TestGraftRecycleSlots(t *testing.T) {
 // graft's result stays complete and correct.
 func TestGraftHostCancelConcurrent(t *testing.T) {
 	cat := slowStarDB(t, 3000, 200*time.Microsecond)
-	fold := newOpCfg(t, cat, Config{BatchSize: 64, DisablePrune: true})
-	nofold := newOpCfg(t, cat, Config{BatchSize: 64, DisableFold: true, DisablePrune: true})
+	cat.MustTable("lo").ScanGroup().SetPrune(false)
+	fold := newOpCfg(t, cat, Config{BatchSize: 64})
+	nofold := newOpCfg(t, cat, Config{BatchSize: 64, DisableFold: true})
 	r := rand.New(rand.NewSource(7321))
 
 	canceled := 0

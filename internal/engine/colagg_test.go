@@ -128,8 +128,8 @@ func buildRandomBatch(r *rand.Rand, nrows, ncols int, styles []colStyle) *vec.Co
 }
 
 // canonical renders result rows order-insensitively with float rounding (the
-// columnar global path folds batch-locally, so float sums may differ in the
-// last few bits from the row path's strict per-row order).
+// columnar path folds batch-locally, so float sums may differ in the last
+// few bits from a strict per-row order).
 func canonical(rows []types.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -150,12 +150,94 @@ func canonical(rows []types.Row) []string {
 	return out
 }
 
+// naiveAggregate is the independent oracle for opAggregate: it walks the
+// materialized rows one at a time, finds each row's group by a linear scan
+// with Datum.Equal (the first row of a group supplies its key datums) and
+// folds every aggregate from its SQL definition. No hashing, no group table,
+// no accumulator code is shared with the engine.
+func naiveAggregate(n *plan.Aggregate, rows []types.Row) []types.Row {
+	type group struct {
+		key  types.Row
+		rows []types.Row
+	}
+	var groups []*group
+	for _, r := range rows {
+		key := make(types.Row, len(n.GroupBy))
+		for i, g := range n.GroupBy {
+			key[i] = g.Expr.Eval(r)
+		}
+		var hit *group
+		for _, g := range groups {
+			eq := true
+			for i := range key {
+				if !g.key[i].Equal(key[i]) {
+					eq = false
+					break
+				}
+			}
+			if eq {
+				hit = g
+				break
+			}
+		}
+		if hit == nil {
+			hit = &group{key: key}
+			groups = append(groups, hit)
+		}
+		hit.rows = append(hit.rows, r)
+	}
+	if len(groups) == 0 && len(n.GroupBy) == 0 {
+		groups = append(groups, &group{})
+	}
+	out := make([]types.Row, 0, len(groups))
+	for _, g := range groups {
+		res := append(types.Row{}, g.key...)
+		for _, spec := range n.Aggs {
+			var vals []types.Datum
+			for _, r := range g.rows {
+				if spec.Arg == nil {
+					vals = append(vals, types.NewInt(1))
+				} else if v := spec.Arg.Eval(r); !v.IsNull() {
+					vals = append(vals, v)
+				}
+			}
+			res = append(res, naiveFold(spec.Func, vals))
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
+// naiveFold applies one aggregate function to the non-NULL argument values.
+func naiveFold(fn plan.AggFunc, vals []types.Datum) types.Datum {
+	if fn == plan.AggCount {
+		return types.NewInt(int64(len(vals)))
+	}
+	if len(vals) == 0 {
+		return types.Null
+	}
+	best, sum := vals[0], 0.0
+	for _, v := range vals {
+		sum += v.Float()
+		if (fn == plan.AggMin && v.Compare(best) < 0) || (fn == plan.AggMax && v.Compare(best) > 0) {
+			best = v
+		}
+	}
+	switch fn {
+	case plan.AggSum:
+		return types.NewFloat(sum)
+	case plan.AggAvg:
+		return types.NewFloat(sum / float64(len(vals)))
+	default:
+		return best
+	}
+}
+
 // TestGroupedAggregateColsMatchesRows is the result-equivalence property
 // test of the vectorized grouped-aggregation path: over random plans
 // (random group-by arity, NULL-bearing keys, int/float/string/dict columns,
-// random selections) the columnar path must produce exactly the groups and
-// aggregates the row path produces — they share one group table, so this
-// also covers mixed streams where some batches arrive as rows.
+// random selections) opAggregate must produce exactly the groups and
+// aggregates the naive row-at-a-time oracle computes over the same rows.
 func TestGroupedAggregateColsMatchesRows(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -191,7 +273,8 @@ func TestGroupedAggregateColsMatchesRows(t *testing.T) {
 
 		// Shared data: a few batches, each with a random selection.
 		nbatches := r.Intn(3) + 1
-		var colBatches, rowBatches []*batch.Batch
+		var batches []*batch.Batch
+		var rows []types.Row
 		for bi := 0; bi < nbatches; bi++ {
 			nrows := r.Intn(96) + 4
 			cb := buildRandomBatch(r, nrows, ncols, styles)
@@ -203,36 +286,36 @@ func TestGroupedAggregateColsMatchesRows(t *testing.T) {
 					}
 				}
 			}
-			rows := []types.Row{}
 			if sel != nil {
 				for _, ri := range sel {
 					rows = append(rows, cb.Row(int(ri)))
 				}
 			} else {
-				rows = cb.Rows()
+				for i := 0; i < nrows; i++ {
+					rows = append(rows, cb.Row(i))
+				}
 			}
-			colBatches = append(colBatches, batch.FromView(cb, sel, nil))
-			rowBatches = append(rowBatches, batch.Of(rows...))
+			batches = append(batches, batch.FromView(cb, sel, nil))
 		}
 
-		gotCols := canonical(runAggregate(t, node, colBatches))
-		gotRows := canonical(runAggregate(t, node, rowBatches))
-		if len(gotCols) != len(gotRows) {
-			t.Fatalf("trial %d: columnar path %d groups, row path %d groups\ncols: %v\nrows: %v",
-				trial, len(gotCols), len(gotRows), gotCols, gotRows)
+		got := canonical(runAggregate(t, node, batches))
+		want := canonical(naiveAggregate(node, rows))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: opAggregate %d groups, oracle %d groups\ngot:  %v\nwant: %v",
+				trial, len(got), len(want), got, want)
 		}
-		for i := range gotCols {
-			if gotCols[i] != gotRows[i] {
-				t.Fatalf("trial %d row %d:\ncols: %s\nrows: %s", trial, i, gotCols[i], gotRows[i])
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d row %d:\ngot:  %s\nwant: %s", trial, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestHashFoldMatchesHashKey pins the columnar hash kernels to the row
-// path's fold: for every column shape, HashFold must produce exactly
-// (h ^ Datum.HashKey) * prime per row — the property that lets one group
-// table serve both paths.
+// TestHashFoldMatchesHashKey pins the columnar hash kernels to the datum
+// fold: for every column shape, HashFold must produce exactly
+// (h ^ Datum.HashKey) * prime per row, so equal keys hash equally whatever
+// their column's shape (dictionary-coded or plain, uniform or mixed).
 func TestHashFoldMatchesHashKey(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -315,7 +398,7 @@ func TestColumnarEmitterConstantAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		cb.Retain()
 		nb := batch.FromView(cb, sel, nil)
-		if _, _, ok := nb.Cols(); !ok {
+		if got, _ := nb.Cols(); got != cb {
 			t.Fatal("view lost")
 		}
 		nb.Done()

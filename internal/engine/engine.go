@@ -50,10 +50,6 @@ type Config struct {
 	// the CJOIN stage.
 	Star StarRunner
 
-	// NoPrune disables zone-map page pruning in table scans (the
-	// pruning-on/off ablation toggle; pruning is on by default).
-	NoPrune bool
-
 	// ResultCache enables the bounded materialized result cache: plans are
 	// fingerprinted and exact repeat templates answered from the previous
 	// materialization, until any table they read changes. Results served

@@ -20,9 +20,7 @@ import (
 //   - line=legacyMap: the pre-PR5 row path — map[uint64][]*aggGroup chains
 //     with per-row HashKey folds and per-row accumulator updates (the
 //     baseline the acceptance criterion compares against).
-//   - line=rows: the same row batches through the open-addressing
-//     groupTable.
-//   - line=cols: view batches through the vectorized path (aggregateCols).
+//   - line=cols: the batches through the vectorized path (aggregateCols).
 //
 // The ns/tuple metric is the acceptance number: cols must be >= 2x better
 // than legacyMap. The perf-smoke CI job additionally gates line=cols
@@ -58,13 +56,6 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 		}
 		tuples := float64(nrows * nbatches)
 
-		mkRowBatches := func() []*batch.Batch {
-			out := make([]*batch.Batch, nbatches)
-			for i := range out {
-				out[i] = batch.Of(rowSets[i]...)
-			}
-			return out
-		}
 		mkColBatches := func() []*batch.Batch {
 			out := make([]*batch.Batch, nbatches)
 			for i := range out {
@@ -80,16 +71,6 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				legacyMapAggregate(rowSets, groupBy, aggs, argCols, groupIdx)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
-		})
-		b.Run(fmt.Sprintf("line=rows/%s", shape.name), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				in := mkRowBatches()
-				b.StartTimer()
-				runAggregate(b, node, in)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples/float64(b.N), "ns/tuple")
 		})

@@ -46,7 +46,7 @@ func (e *Engine) runOperator(ctx context.Context, p *Packet, inputs []Reader, w 
 // batch per storage page, applying any pushed-down predicate inside the
 // stage (as QPipe's tscan does). Predicates are evaluated vectorized over
 // the page's columnar cache into a selection vector, and the page is
-// published as a view batch — (column batch, surviving selection) — with no
+// published as a batch — (column batch, surviving selection) — with no
 // row materialization; rows are built lazily from the buffer pool's shared
 // per-frame row cache only if a row-consuming operator asks.
 func (e *Engine) opScan(ctx context.Context, n *plan.Scan, w Writer, st *Stage) error {
@@ -58,7 +58,7 @@ func (e *Engine) opScan(ctx context.Context, n *plan.Scan, w Writer, st *Stage) 
 	var scr vec.Scratch
 	if n.Pred != nil {
 		vpred = expr.CompileVec(n.Pred)
-		if !e.cfg.NoPrune {
+		if n.Table.ScanGroup().Pruning() {
 			prune = expr.CompilePrune(n.Pred)
 		}
 	}
@@ -108,9 +108,9 @@ func (e *Engine) opScan(ctx context.Context, n *plan.Scan, w Writer, st *Stage) 
 }
 
 // opLimit forwards the first N rows, then detaches from its input, which
-// cancels the upstream sub-plan (unless other queries share it). A view
-// batch crossing the cap is forwarded as a truncated view — the columnar
-// form survives the limit.
+// cancels the upstream sub-plan (unless other queries share it). A batch
+// crossing the cap is forwarded as a truncated view of the same column
+// batch.
 func (e *Engine) opLimit(ctx context.Context, n *plan.Limit, in Reader, w Writer, st *Stage) error {
 	remaining := n.N
 	for remaining > 0 {
@@ -123,19 +123,14 @@ func (e *Engine) opLimit(ctx context.Context, n *plan.Limit, in Reader, w Writer
 		}
 		t0 := time.Now()
 		if b.Len() > remaining {
-			if cb, sel, ok := b.Cols(); ok {
-				if sel == nil {
-					sel = cb.AllSel()
-				}
-				cb.Retain()
-				nb := batch.FromView(cb, sel[:remaining], b.Backing())
-				b.Done()
-				b = nb
-			} else {
-				nb := &batch.Batch{Rows: b.RowsView()[:remaining]}
-				b.Done()
-				b = nb
+			cb, sel := b.Cols()
+			if sel == nil {
+				sel = cb.AllSel()
 			}
+			cb.Retain()
+			nb := batch.FromView(cb, sel[:remaining], b.Backing())
+			b.Done()
+			b = nb
 		}
 		remaining -= b.Len()
 		st.addBusy(time.Since(t0))
@@ -146,101 +141,94 @@ func (e *Engine) opLimit(ctx context.Context, n *plan.Limit, in Reader, w Writer
 	return nil
 }
 
-// emitter accumulates rows into batches of the configured size and flushes
-// them downstream.
+// emitter appends computed rows column-wise into a pooled ColBatch and
+// publishes it downstream as a batch every size rows. Operators that use
+// one defer release so a failed run returns the unpublished batch to the
+// pool.
 type emitter struct {
 	w    Writer
 	size int
-	cur  *batch.Batch
+	cur  *vec.ColBatch // nil until the first row of the next batch
+	n    int
 }
 
 func newEmitter(w Writer, size int) *emitter {
-	return &emitter{w: w, size: size, cur: batch.New(size)}
+	return &emitter{w: w, size: size}
 }
 
+// add appends r's datums to the pending batch (r itself is not retained).
 func (em *emitter) add(ctx context.Context, r types.Row) error {
-	em.cur.Append(r)
-	if em.cur.Len() >= em.size {
+	if em.cur == nil {
+		em.cur = vec.Get(len(r))
+	}
+	em.cur.AppendRow(r)
+	em.n++
+	if em.n >= em.size {
 		return em.flush(ctx)
 	}
 	return nil
 }
 
 func (em *emitter) flush(ctx context.Context) error {
-	if em.cur.Len() == 0 {
+	if em.n == 0 {
 		return nil
 	}
-	b := em.cur
-	em.cur = batch.New(em.size)
-	return em.w.Put(ctx, b)
+	cb := em.cur
+	cb.Seal(em.n)
+	em.cur, em.n = nil, 0
+	return em.w.Put(ctx, batch.FromView(cb, nil, nil))
 }
 
-// opFilter keeps rows satisfying the predicate, compiled once per packet.
-// A view batch is filtered entirely in columnar form: the vectorized
-// predicate narrows the batch's selection and the same column batch is
-// republished under the narrowed selection — no rows are touched. Row
-// batches fall back to the compiled scalar predicate and the row emitter.
+func (em *emitter) release() {
+	if em.cur != nil {
+		em.cur.Release()
+		em.cur, em.n = nil, 0
+	}
+}
+
+// opFilter keeps rows satisfying the predicate, compiled once per packet
+// into a vectorized kernel: it narrows the batch's selection and the same
+// column batch is republished under the narrowed selection — no rows are
+// touched.
 func (e *Engine) opFilter(ctx context.Context, n *plan.Filter, in Reader, w Writer, st *Stage) error {
-	em := newEmitter(w, e.cfg.BatchSize)
-	pred := expr.Compile(n.Pred)
 	vpred := expr.CompileVec(n.Pred)
 	var scr vec.Scratch
-	var kept []types.Row
 	for {
 		b, err := in.Next(ctx)
 		if err == io.EOF {
-			return em.flush(ctx)
+			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if cb, sel, ok := b.Cols(); ok {
-			t0 := time.Now()
-			if sel == nil {
-				sel = cb.AllSel()
-			}
-			// The output selection is handed downstream; allocated per batch.
-			out := vpred(cb, sel, make([]int32, len(sel)), &scr)
-			st.addBusy(time.Since(t0))
-			if len(out) == 0 {
-				b.Done()
-				continue
-			}
-			if err := em.flush(ctx); err != nil { // keep row order across mixed streams
-				b.Done()
-				return err
-			}
-			cb.Retain()
-			nb := batch.FromView(cb, out, b.Backing())
+		t0 := time.Now()
+		cb, sel := b.Cols()
+		if sel == nil {
+			sel = cb.AllSel()
+		}
+		// The output selection is handed downstream; allocated per batch.
+		out := vpred(cb, sel, make([]int32, len(sel)), &scr)
+		st.addBusy(time.Since(t0))
+		if len(out) == 0 {
 			b.Done()
-			if err := w.Put(ctx, nb); err != nil {
-				return err
-			}
 			continue
 		}
-		t0 := time.Now()
-		kept = kept[:0]
-		for _, r := range b.RowsView() {
-			if pred(r) {
-				kept = append(kept, r)
-			}
-		}
-		st.addBusy(time.Since(t0))
+		cb.Retain()
+		nb := batch.FromView(cb, out, b.Backing())
 		b.Done()
-		for _, r := range kept {
-			if err := em.add(ctx, r); err != nil {
-				return err
-			}
+		if err := w.Put(ctx, nb); err != nil {
+			return err
 		}
 	}
 }
 
 // opProject computes the output expressions for every row. When every
-// output is a plain column reference and the input is a view batch, the
-// projection is zero-copy: a derived column batch remaps the columns in
-// place (vec.ProjectCols) and is republished under the input's selection.
+// output is a plain column reference the projection is zero-copy: a derived
+// column batch remaps the columns in place (vec.ProjectCols) and is
+// republished under the input's selection.
 func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Writer, st *Stage) error {
 	em := newEmitter(w, e.cfg.BatchSize)
+	defer em.release()
 	exprs := make([]expr.Expr, len(n.Cols))
 	for i, c := range n.Cols {
 		exprs[i] = c.Expr
@@ -255,21 +243,15 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 			return err
 		}
 		if colsOnly {
-			if cb, sel, ok := b.Cols(); ok {
-				t0 := time.Now()
-				pcb := vec.ProjectCols(cb, colIdx)
-				nb := batch.FromView(pcb, sel, nil)
-				b.Done()
-				st.addBusy(time.Since(t0))
-				if err := em.flush(ctx); err != nil {
-					nb.Done()
-					return err
-				}
-				if err := w.Put(ctx, nb); err != nil {
-					return err
-				}
-				continue
+			t0 := time.Now()
+			cb, sel := b.Cols()
+			nb := batch.FromView(vec.ProjectCols(cb, colIdx), sel, nil)
+			b.Done()
+			st.addBusy(time.Since(t0))
+			if err := w.Put(ctx, nb); err != nil {
+				return err
 			}
+			continue
 		}
 		t0 := time.Now()
 		rows := b.RowsView()
@@ -298,10 +280,7 @@ func (e *Engine) opProject(ctx context.Context, n *plan.Project, in Reader, w Wr
 // entry) pairs. Output is a pooled ColBatch whose columns gather typed
 // payloads from the left batch and the build arenas (vec.AppendGather); no
 // Row is materialized on either side, duplicate build keys chain in the
-// arena, and NULL join keys never match. Row batches on either input (sort
-// and aggregate outputs, push-model clones) run through the same table via
-// per-datum paths with identical hashing, so mixed streams join
-// consistently.
+// arena, and NULL join keys never match.
 func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right Reader, w Writer, st *Stage) error {
 	leftW := n.Left.Schema().Len()
 	rightW := n.Right.Schema().Len()
@@ -317,14 +296,11 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 			return err
 		}
 		t0 := time.Now()
-		if cb, sel, ok := b.Cols(); ok {
-			if sel == nil {
-				sel = cb.AllSel()
-			}
-			jt.buildCols(cb, sel, &scr)
-		} else {
-			jt.buildRows(b.RowsView())
+		cb, sel := b.Cols()
+		if sel == nil {
+			sel = cb.AllSel()
 		}
+		jt.buildCols(cb, sel, &scr)
 		b.Done()
 		st.addBusy(time.Since(t0))
 	}
@@ -364,34 +340,17 @@ func (e *Engine) opHashJoin(ctx context.Context, n *plan.HashJoin, left, right R
 			st.addBusy(time.Since(t0))
 			continue
 		}
-		cb, sel, isView := b.Cols()
-		if isView {
-			if sel == nil {
-				sel = cb.AllSel()
-			}
-			jt.probeCols(cb.Col(n.LeftCol), sel, &scr)
-		} else {
-			scr.ml, scr.me = scr.ml[:0], scr.me[:0]
-			for i, l := range b.RowsView() {
-				jt.probeRow(l[n.LeftCol], int32(i), &scr)
-			}
+		cb, sel := b.Cols()
+		if sel == nil {
+			sel = cb.AllSel()
 		}
+		jt.probeCols(cb.Col(n.LeftCol), sel, &scr)
 		if len(scr.ml) > 0 {
 			if pend == nil {
 				pend = vec.Get(leftW + rightW)
 			}
-			if isView {
-				for c := 0; c < leftW; c++ {
-					pend.Col(c).AppendGather(cb.Col(c), scr.ml)
-				}
-			} else {
-				rows := b.RowsView()
-				for _, li := range scr.ml {
-					l := rows[li]
-					for c := 0; c < leftW; c++ {
-						pend.Col(c).AppendDatum(l[c])
-					}
-				}
+			for c := 0; c < leftW; c++ {
+				pend.Col(c).AppendGather(cb.Col(c), scr.ml)
 			}
 			for c := 0; c < rightW; c++ {
 				pend.Col(leftW+c).AppendGather(&jt.cols[c], scr.me)
@@ -507,12 +466,11 @@ func (a *aggAcc) result(spec plan.AggSpec) types.Datum {
 // opAggregate is a hash group-by over the open-addressing groupTable.
 // Output group order is unspecified; plans that need an order add a Sort
 // node above. When every aggregate argument and group-by key is a plain
-// column reference (or COUNT(*)), view batches run fully vectorized
+// column reference (or COUNT(*)), batches run fully vectorized
 // (aggregateCols): column-wise key hashing, in-place group resolution and
 // batched accumulator folds — and dictionary-coded group columns hash each
-// distinct string once per page instead of once per row. Row batches take
-// the same table through per-row paths with identical hashing, so mixed
-// streams (SPL satellites see materialized rows) accumulate consistently.
+// distinct string once per page instead of once per row. Plans with
+// computed keys or arguments evaluate them per materialized row.
 func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, w Writer, st *Stage) error {
 	naggs := len(n.Aggs)
 	gt := newGroupTable(naggs)
@@ -546,38 +504,15 @@ func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, 
 		if err != nil {
 			return err
 		}
-		if fast {
-			if cb, sel, ok := b.Cols(); ok {
-				t0 := time.Now()
-				if sel == nil {
-					sel = cb.AllSel()
-				}
-				aggregateCols(gt, n.Aggs, argCols, groupIdx, cb, sel, key, &scr)
-				b.Done()
-				st.addBusy(time.Since(t0))
-				continue
-			}
-		}
 		t0 := time.Now()
-		rows := b.RowsView()
 		if fast {
-			for _, r := range rows {
-				h := hashSeed
-				for i, gi := range groupIdx {
-					key[i] = r[gi]
-					h = (h ^ key[i].HashKey()) * vec.HashPrime
-				}
-				accs := gt.entryAccs(gt.findOrAdd(h, key))
-				for i := range n.Aggs {
-					if argCols[i] < 0 {
-						accs[i].count++
-					} else {
-						accs[i].updateDatum(n.Aggs[i], r[argCols[i]])
-					}
-				}
+			cb, sel := b.Cols()
+			if sel == nil {
+				sel = cb.AllSel()
 			}
+			aggregateCols(gt, n.Aggs, argCols, groupIdx, cb, sel, key, &scr)
 		} else {
-			for _, r := range rows {
+			for _, r := range b.RowsView() {
 				for i, g := range n.GroupBy {
 					key[i] = g.Expr.Eval(r)
 				}
@@ -597,9 +532,10 @@ func (e *Engine) opAggregate(ctx context.Context, n *plan.Aggregate, in Reader, 
 		gt.findOrAdd(hashSeed, nil)
 	}
 	em := newEmitter(w, e.cfg.BatchSize)
+	defer em.release()
+	out := make(types.Row, 0, len(n.GroupBy)+naggs)
 	for g := 0; g < gt.len(); g++ {
-		out := make(types.Row, 0, len(n.GroupBy)+naggs)
-		out = append(out, gt.keys[g]...)
+		out = append(out[:0], gt.keys[g]...)
 		accs := gt.entryAccs(int32(g))
 		for i := range n.Aggs {
 			out = append(out, accs[i].result(n.Aggs[i]))
@@ -641,6 +577,7 @@ func (e *Engine) opSort(ctx context.Context, n *plan.Sort, in Reader, w Writer, 
 	})
 	st.addBusy(time.Since(t0))
 	em := newEmitter(w, e.cfg.BatchSize)
+	defer em.release()
 	for _, r := range rows {
 		if err := em.add(ctx, r); err != nil {
 			return err

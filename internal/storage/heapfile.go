@@ -144,9 +144,6 @@ func (h *HeapFile) NumRows() int {
 	return h.numRows
 }
 
-// Prefetch requests page idx in the background (scan readahead).
-func (h *HeapFile) Prefetch(idx int) { h.pool.Prefetch(h.id, idx) }
-
 // PageZones returns page idx's per-column zone maps, or nil when unknown.
 // Reading zones never touches the disk or decodes the page.
 func (h *HeapFile) PageZones(idx int) []ZoneMap { return h.pool.Zones(h.id, idx) }

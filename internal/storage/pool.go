@@ -154,10 +154,9 @@ type BufferPool struct {
 	table  map[pageKey]*Frame
 	hand   int
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64
-	prefetched atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 
 	decoded   atomic.Int64
 	fetched   atomic.Int64
@@ -185,8 +184,6 @@ type BufferPool struct {
 	// Page contents are immutable after flush, so entries never go stale.
 	zmu   sync.RWMutex
 	zones map[pageKey][]ZoneMap
-
-	prefetchGate chan struct{}
 }
 
 // NewBufferPool creates a pool of npages frames over the given disk.
@@ -195,13 +192,12 @@ func NewBufferPool(disk Disk, npages int) *BufferPool {
 		npages = 1
 	}
 	p := &BufferPool{
-		disk:         disk,
-		frames:       make([]*Frame, npages),
-		table:        make(map[pageKey]*Frame, npages),
-		zones:        make(map[pageKey][]ZoneMap),
-		prefetchGate: make(chan struct{}, 4),
-		retryMax:     DefaultFetchRetries,
-		retryBase:    DefaultRetryBackoff,
+		disk:      disk,
+		frames:    make([]*Frame, npages),
+		table:     make(map[pageKey]*Frame, npages),
+		zones:     make(map[pageKey][]ZoneMap),
+		retryMax:  DefaultFetchRetries,
+		retryBase: DefaultRetryBackoff,
 	}
 	for i := range p.frames {
 		p.frames[i] = &Frame{pool: p, data: make([]byte, PageSize)}
@@ -465,37 +461,6 @@ func (p *BufferPool) victimLocked() (*Frame, error) {
 	}
 	return nil, ErrNoFreeFrames
 }
-
-// Prefetch requests page (f, idx) in the background so a subsequent Fetch
-// hits the pool. It never blocks the caller: when the prefetch gate is
-// saturated the request is simply dropped (readahead is best-effort). The
-// single-flight machinery in Fetch guarantees a concurrent demand fetch of
-// the same page coalesces with the prefetch rather than reading twice.
-func (p *BufferPool) Prefetch(f FileID, idx int) {
-	p.mu.Lock()
-	_, cached := p.table[pageKey{file: f, idx: idx}]
-	p.mu.Unlock()
-	if cached {
-		return
-	}
-	select {
-	case p.prefetchGate <- struct{}{}:
-	default:
-		return // gate saturated; skip
-	}
-	go func() {
-		defer func() { <-p.prefetchGate }()
-		fr, err := p.Fetch(f, idx)
-		if err != nil {
-			return // best-effort: demand fetches will surface the error
-		}
-		p.prefetched.Add(1)
-		p.Unpin(fr)
-	}()
-}
-
-// Prefetched returns the number of completed background prefetches.
-func (p *BufferPool) Prefetched() int64 { return p.prefetched.Load() }
 
 // Contains reports whether the page is currently cached (testing hook).
 func (p *BufferPool) Contains(f FileID, idx int) bool {

@@ -3,7 +3,6 @@ package storage
 import (
 	"sync"
 
-	"repro/internal/types"
 	"repro/internal/vec"
 )
 
@@ -14,9 +13,14 @@ import (
 // cursors hit buffer-pool-resident pages and k concurrent scans cost roughly
 // one disk sweep instead of k.
 type ScanGroup struct {
-	hf       *HeapFile
-	shared   bool
-	prefetch bool
+	hf     *HeapFile
+	shared bool
+
+	// noPrune turns off zone-map page pruning for every scan of the table:
+	// the engine's table scans and the CJOIN shared scan both read it when
+	// they compile a pushed-down predicate (the pruning ablation toggle;
+	// pruning is on by default).
+	noPrune bool
 
 	// demandFirst orders each pruning cursor's fetches demand-first: pages
 	// that are both relevant (not zone-pruned) and pool-resident are served
@@ -49,20 +53,19 @@ func (g *ScanGroup) SetShared(v bool) {
 	g.shared = v
 }
 
-// SetPrefetch toggles scan readahead: cursors request their next page in
-// the background while the current page is being processed, hiding disk
-// latency on sequential sweeps.
-func (g *ScanGroup) SetPrefetch(v bool) {
+// SetPrune toggles zone-map page pruning for scans that compile their
+// predicates after the call.
+func (g *ScanGroup) SetPrune(on bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.prefetch = v
+	g.noPrune = !on
 }
 
-// prefetchOn reads the toggle under the group lock.
-func (g *ScanGroup) prefetchOn() bool {
+// Pruning reports whether scans of the table may skip pages by zone map.
+func (g *ScanGroup) Pruning() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.prefetch
+	return !g.noPrune
 }
 
 // SetDemandFirst toggles demand-first fetch ordering for pruning cursors
@@ -144,26 +147,6 @@ func (c *ScanCursor) Next() (idx int, ok bool) {
 	return idx, true
 }
 
-// NextRows fetches the next page's shared row view, or ok=false at end of
-// sweep. With readahead enabled the cursor's following page is requested in
-// the background before this one is decoded. Rows materialize once per pool
-// residency from the frame's columnar cache (the row-only convenience for
-// tests and the shared-scan ablation; query execution uses NextCols).
-func (c *ScanCursor) NextRows() (rows []types.Row, ok bool, err error) {
-	idx, ok := c.Next()
-	if !ok {
-		return nil, false, nil
-	}
-	if c.numPages > 1 && c.group.prefetchOn() {
-		c.group.hf.Prefetch((idx + 1) % c.numPages)
-	}
-	rows, err = c.group.hf.Page(idx)
-	if err != nil {
-		return nil, false, err
-	}
-	return rows, true, nil
-}
-
 // NextCols fetches the next page's columnar batch — without materializing
 // the row view — and reports the page index, or ok=false at end of sweep.
 // The caller owns one reference on the batch and must Release it. This is
@@ -173,9 +156,6 @@ func (c *ScanCursor) NextCols() (cb *vec.ColBatch, idx int, ok bool, err error) 
 	idx, ok = c.Next()
 	if !ok {
 		return nil, 0, false, nil
-	}
-	if c.numPages > 1 && c.group.prefetchOn() {
-		c.group.hf.Prefetch((idx + 1) % c.numPages)
 	}
 	cb, err = c.group.hf.PageCols(idx)
 	if err != nil {
@@ -220,13 +200,6 @@ func (c *ScanCursor) NextColsPruned(check PageCheck) (cb *vec.ColBatch, idx int,
 		if inSweep && demandFirst && !hf.PageResident(idx) {
 			c.deferred = append(c.deferred, idx)
 			continue
-		}
-		if c.group.prefetchOn() {
-			if !inSweep && len(c.deferred) > 0 {
-				hf.Prefetch(c.deferred[0])
-			} else if inSweep && c.numPages > 1 {
-				hf.Prefetch((idx + 1) % c.numPages)
-			}
 		}
 		cb, err = hf.PageCols(idx)
 		if err != nil {

@@ -7,9 +7,8 @@ import "repro/internal/types"
 //
 //	h = (h ^ key[i].HashKey()) * HashPrime
 //
-// because a grouped aggregate may consume a mix of columnar and row batches
-// (SPL sharing materializes rows for some consumers) and both paths feed one
-// group table.
+// so an equal key hashes equally whatever its column's shape (dictionary-
+// coded, uniform or mixed) — the group and join tables key on these hashes.
 const HashPrime uint64 = 1099511628211
 
 // HashFold folds one group-by key column into the per-row hash accumulator:

@@ -54,7 +54,6 @@ type Env struct {
 
 	Residency Residency
 	PoolPages int
-	NoPrune   bool
 }
 
 // estimatePages over-approximates the page count of a generated database so
@@ -108,7 +107,8 @@ type EnvConfig struct {
 	// (time-ordered ingest layout) so date windows map to page ranges.
 	DateClustered bool
 	// NoPrune disables zone-map page pruning in both the engine's table
-	// scans and the CJOIN shared scan (the ablation toggle).
+	// scans and the CJOIN shared scan (the ablation toggle), through each
+	// table's storage.ScanGroup.SetPrune.
 	NoPrune bool
 	// NoFold disables predicate-subsumption query folding at CJOIN
 	// admission (the reuse ablation toggle; folding is on by default).
@@ -135,12 +135,17 @@ func NewSSBEnvCfg(cfg EnvConfig) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: generate ssb: %w", err)
 	}
+	if cfg.NoPrune {
+		for _, name := range cat.Tables() {
+			cat.MustTable(name).ScanGroup().SetPrune(false)
+		}
+	}
 	op, err := cjoin.NewOperator(db.Lineorder, []cjoin.DimSpec{
 		{Table: db.Date, FactKeyCol: ssb.LOOrderDate, DimKeyCol: ssb.DDateKey},
 		{Table: db.Customer, FactKeyCol: ssb.LOCustKey, DimKeyCol: ssb.CCustKey},
 		{Table: db.Supplier, FactKeyCol: ssb.LOSuppKey, DimKeyCol: ssb.SSuppKey},
 		{Table: db.Part, FactKeyCol: ssb.LOPartKey, DimKeyCol: ssb.PPartKey},
-	}, cjoin.Config{Workers: cfg.Workers, DisablePrune: cfg.NoPrune, DisableFold: cfg.NoFold})
+	}, cjoin.Config{Workers: cfg.Workers, DisableFold: cfg.NoFold})
 	if err != nil {
 		return nil, fmt.Errorf("workload: start cjoin: %w", err)
 	}
@@ -150,7 +155,7 @@ func NewSSBEnvCfg(cfg EnvConfig) (*Env, error) {
 		db.Lineorder.ScanGroup().SetDemandFirst(true)
 	}
 	return &Env{Cat: cat, Disk: disk, Fault: fd, SSB: db, CJoin: op,
-		Residency: cfg.Residency, PoolPages: pool, NoPrune: cfg.NoPrune}, nil
+		Residency: cfg.Residency, PoolPages: pool}, nil
 }
 
 // NewTPCHEnv generates the lineitem table for Scenario I.
@@ -169,9 +174,6 @@ func NewTPCHEnv(sf float64, res Residency, poolPages int, seed int64) (*Env, err
 func (env *Env) Engine(cfg engine.Config) *engine.Engine {
 	if cfg.Star == nil && env.CJoin != nil {
 		cfg.Star = env.CJoin
-	}
-	if env.NoPrune {
-		cfg.NoPrune = true
 	}
 	return engine.New(env.Cat, cfg)
 }
