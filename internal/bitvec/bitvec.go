@@ -227,6 +227,22 @@ func AnyWords(w []uint64) bool {
 	return false
 }
 
+// IntersectsWords reports whether a and b share a set bit (words missing
+// from the shorter operand are zero) — the CJOIN probe's "does any query
+// still carried by this tuple reference the dimension" check.
+func IntersectsWords(a, b []uint64) bool {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	for i := 0; i < n; i++ {
+		if a[i]&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // AndMaskedWords computes dst &= entry | ^mask word-wise: bits inside mask
 // are filtered through entry, bits outside mask pass through unchanged. This
 // is the shared hash-join hit step on inline bitmaps (see Bits.AndMasked).

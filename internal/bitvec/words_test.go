@@ -53,6 +53,13 @@ func TestWordKernelsMatchBits(t *testing.T) {
 			}
 		}
 
+		// IntersectsWords vs AND-then-Any on Bits.
+		wantX := db.Clone()
+		wantX.And(mb)
+		if got := IntersectsWords(dw, mw); got != wantX.Any() {
+			t.Fatalf("trial %d: IntersectsWords = %v, want %v", trial, got, wantX.Any())
+		}
+
 		// AnyWords / CountWords vs Bits.
 		if AnyWords(dw) != db.Any() {
 			t.Fatalf("trial %d: AnyWords mismatch", trial)

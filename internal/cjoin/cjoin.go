@@ -6,19 +6,26 @@
 // fact table and deals fact pages round-robin to Config.Workers probe
 // workers; each worker annotates its pages with query bitmaps (bit q is set
 // iff the tuple satisfies query q's fact-table predicate) and probes them
-// through the whole dimension chain; a distributor merges the worker streams
-// back into scan order and routes each surviving joined tuple to every query
+// through the dimension chain; a distributor merges the worker streams back
+// into scan order and routes each surviving joined tuple to every query
 // whose bit survived.
 //
-//	            ┌→ worker 0 (annotate → probe dim₁..dimₖ) ─┐
-//	scanner ────┼→ worker 1 (annotate → probe dim₁..dimₖ) ─┼→ distributor
-//	            └→ …                                       ─┘   (seq merge)
+//	            ┌→ worker 0 (annotate → probe dims, adaptive order) ─┐
+//	scanner ────┼→ worker 1 (annotate → probe dims, adaptive order) ─┼→ distributor
+//	            └→ …                                                ─┘   (seq merge)
 //
-// The dimension hash tables are split in two: the probe index (keys, rows,
-// open-addressing slots) is built once and shared immutably by every worker,
-// while the per-entry query bitmaps — the only state that changes as queries
-// come and go — are replicated per worker so the probe hot path never takes
-// a lock.
+// The chain does only the work that can change a bit: a dimension no active
+// query references is skipped, and within a dimension a tuple is probed only
+// if it still carries the bit of a query that references it. Each worker
+// probes the dimensions most-selective first, re-sorting its order every few
+// dozen pages by the observed pass rates; because the bitmap fold is an AND
+// and compaction is stable, every order yields bit-identical items.
+//
+// The dimension tables are split in two: the probe index (keys, rows, dense
+// index or open-addressing slots) is built once and shared immutably by
+// every worker, while the per-entry query bitmaps — the only state that
+// changes as queries come and go — are replicated per worker so the probe
+// hot path never takes a lock.
 //
 // Queries are admitted and retired through an epoch protocol: every logical
 // tick of the scanner is either one fact page (sent to exactly one worker)
@@ -150,7 +157,7 @@ type Stats struct {
 	ZoneSkips      int64 // (page, query) annotate passes skipped by zone maps
 	FactTuplesIn   int64 // fact tuples entering the pipeline
 	DroppedAtScan  int64 // tuples whose bitmap was zero after fact predicates
-	Probes         int64 // dimension hash probes
+	Probes         int64 // dimension lookups performed (direct-index or hash)
 	ProbeMisses    int64 // probes with no matching dimension tuple
 	DroppedInChain int64 // tuples dropped inside the join chain
 	TuplesRouted   int64 // (tuple, query) deliveries by the distributor
@@ -485,16 +492,7 @@ func NewOperator(fact *storage.Table, dims []DimSpec, cfg Config) (*Operator, er
 	fanIn := make(chan *item, nw*op.cfg.QueueLen+nw)
 	op.workers = make([]*worker, nw)
 	for i := range op.workers {
-		w := &worker{
-			op:   op,
-			in:   make(chan wmsg, op.cfg.QueueLen),
-			out:  fanIn,
-			dims: make([]dimState, len(dims)),
-		}
-		for j, t := range op.tables {
-			w.dims[j] = newDimState(t, op)
-		}
-		op.workers[i] = w
+		op.workers[i] = newWorker(op, make(chan wmsg, op.cfg.QueueLen), fanIn)
 	}
 	dist := &distributor{op: op, in: fanIn}
 
@@ -1075,13 +1073,24 @@ func (w *worker) safeFactSel(sub *subscription, cb *vec.ColBatch, all, sel []int
 	return sub.factVec(cb, all, sel, &w.scratch)
 }
 
+// annotates reports whether sub's bit is produced on this worker's pages: a
+// canceled host keeps annotating while grafted readers still consume its
+// bits (this worker's epoch-ordered held count); canceled queries nothing
+// reads skip.
+func (w *worker) annotates(sub *subscription) bool {
+	return !sub.canceled.Load() || w.held[sub] > 0
+}
+
 // annotate fills it with the page's tuples that satisfy at least one active
 // query's fact predicate, writing each survivor's query bitmap into the flat
 // word arena. Each query's vectorized fact predicate runs over the whole
 // column batch into a selection vector (tight typed-slice loops instead of a
 // per-row closure call), and the query's bit is scattered into the bitmap of
-// every selected row; a final pass compacts the surviving rows. This is the
-// steady-state per-page hot path of every probe worker: it performs no
+// every selected row; a final pass compacts the surviving rows. Queries
+// without a fact predicate set their bit in every row, so their bits are
+// gathered into one tuple-sized bitmap first and the arena is initialised
+// from it in a single pass instead of one strided pass per query. This is
+// the steady-state per-page hot path of every probe worker: it performs no
 // allocations once the worker's buffers have warmed to the page size.
 func (w *worker) annotate(it *item, active []*subscription, nslots int) {
 	cb := it.cols
@@ -1092,7 +1101,28 @@ func (w *worker) annotate(it *item, active []*subscription, nslots int) {
 	}
 	it.ensure(nrows, stride, len(w.dims))
 	words := it.words
-	clear(words)
+	if cap(w.base) < stride {
+		w.base = make([]uint64, stride)
+	}
+	base := w.base[:stride]
+	clear(base)
+	for _, sub := range active {
+		if sub.factVec == nil && w.annotates(sub) {
+			base[uint(sub.id)>>6] |= uint64(1) << (uint(sub.id) & 63)
+		}
+	}
+	switch {
+	case !bitvec.AnyWords(base):
+		clear(words)
+	case stride == 1:
+		for r := range words {
+			words[r] = base[0]
+		}
+	default:
+		for r := 0; r < nrows; r++ {
+			copy(words[r*stride:(r+1)*stride], base)
+		}
+	}
 	all := cb.AllSel()
 	if cap(w.selBuf) < nrows {
 		w.selBuf = make([]int32, nrows)
@@ -1107,10 +1137,7 @@ func (w *worker) annotate(it *item, active []*subscription, nslots int) {
 	zonesLoaded := false
 	var zskips int64
 	for _, sub := range active {
-		// A canceled host keeps annotating while grafted readers still
-		// consume its bits (this worker's epoch-ordered held count);
-		// canceled queries nothing reads skip.
-		if sub.canceled.Load() && w.held[sub] == 0 {
+		if sub.factVec == nil || !w.annotates(sub) {
 			continue
 		}
 		if sub.prune != nil {
@@ -1124,12 +1151,6 @@ func (w *worker) annotate(it *item, active []*subscription, nslots int) {
 			}
 		}
 		wi, bit := uint(sub.id)>>6, uint64(1)<<(uint(sub.id)&63)
-		if sub.factVec == nil {
-			for r := 0; r < nrows; r++ {
-				words[r*stride+int(wi)] |= bit
-			}
-			continue
-		}
 		if stride == 1 {
 			for _, r := range w.safeFactSel(sub, cb, all, sel) {
 				words[r] |= bit
@@ -1176,13 +1197,17 @@ func (w *worker) annotate(it *item, active []*subscription, nslots int) {
 	}
 }
 
-// dimTable is the shared half of one dimension of the chain: an
-// open-addressing, power-of-two, linear-probing probe index over flat
-// parallel entry stores. keys[i]/rows[i] hold entry i, and slots maps a
-// probed hash to an entry index (+1; 0 means empty). Duplicate join keys
-// keep the first inserted entry reachable, matching chained-map first-match
-// semantics. The table is built once and read concurrently by every probe
-// worker; it is never mutated after construction.
+// dimTable is the shared half of one dimension of the chain: a probe index
+// over flat entry stores. keys[i] is entry i's join key and row i of cb its
+// row. Integer keys with a tight range get the dense direct index; any
+// other table gets an open-addressing, power-of-two, linear-probing slot
+// table mapping a probed hash to an entry index (+1; 0 means empty).
+// Duplicate join keys keep the first inserted entry reachable, matching
+// chained-map first-match semantics. The table is built once and read
+// concurrently by every probe worker; it is never mutated after
+// construction. Workers probe it only for tuples that still carry a bit of
+// a query referencing the dimension, at the chain position their adaptive
+// order gives it (see worker.order).
 //
 // Tables whose join keys are all strings are dictionary-encoded at build
 // time: equal keys share an int32 code (the index of their first entry), the
@@ -1201,10 +1226,11 @@ type dimTable struct {
 	codes   []int32          // per-entry dictionary code (strDict tables only)
 
 	// Dense direct index, built when every key is integer-class and the key
-	// range is at most directSpanFactor times the entry count (star-schema
-	// surrogate keys and date keys are dense): direct[k-directMin] holds
-	// entry index+1, so a probe is one bounds check and one array load — no
-	// hashing. nil when the keys are not dense ints.
+	// range is under directSpanFactor times the entry count (star-schema
+	// surrogate keys, and yyyymmdd calendar keys with their unused month
+	// and day values): direct[k-directMin] holds entry index+1 (0 for a
+	// gap), so a probe is one bounds check and one array load — no hashing.
+	// nil when the keys are not dense ints.
 	direct    []int32
 	directMin int64
 	directMax int64
@@ -1218,8 +1244,11 @@ type dimTable struct {
 }
 
 // directSpanFactor bounds the memory of the dense index relative to the
-// entry count.
-const directSpanFactor = 4
+// entry count: at most 32 int32 slots, 128 B, per entry. The bound admits
+// calendar keys — SSB's yyyymmdd d_datekey spans about 24 values per day
+// (2,557 days over 61,131 values, a 245 KB index) — so date joins probe
+// with one array load instead of the Datum hash path.
+const directSpanFactor = 32
 
 func newDimTable(idx int, spec DimSpec) (*dimTable, error) {
 	all, err := spec.Table.File.AllRows()
@@ -1468,6 +1497,10 @@ type dimState struct {
 	estride int      // words per entry bitmap
 	mask    []uint64 // queries referencing this dimension
 
+	// Tuples entering and leaving processTuples since the worker's last
+	// reorder (halved there, so the pass rate tracks the recent stream).
+	in, out int64
+
 	scratch  vec.Scratch // admission-predicate temporaries, replica-owned
 	admitSel []int32     // admission selection buffer, sized to the table
 }
@@ -1555,14 +1588,24 @@ func (ds *dimState) finishQuery(sub *subscription) {
 	}
 }
 
-// processTuples probes every live tuple of it against the shared dimension
+// processTuples probes the live tuples of it against the shared dimension
 // table, folds the matching entry bitmap (or the stage mask, on a miss)
 // into the tuple's inline bitmap, and compacts the item's arenas in place
-// as tuples die. The join-key column is read straight from the page's
-// column batch: integer-class key columns (the star-schema common case)
-// probe from the raw []int64 payload without building a Datum per tuple.
-// This is the steady-state probe hot path: zero allocations per tuple.
+// as tuples die. Only tuples carrying a bit of a query that references the
+// dimension are probed: for any other tuple both folds are the identity
+// (w & (e | ^mask) == w and w &^ mask == w when w & mask == 0), and the
+// distributor reads a tuple's joined entry for this dimension only on
+// behalf of queries that reference it, so such tuples pass through
+// untouched — and a dimension no active query references returns at once.
+// The join-key column is read straight from the page's column batch:
+// integer-class key columns (the star-schema common case) probe from the
+// raw []int64 payload without building a Datum per tuple. The in/out
+// tuple counts feed the worker's adaptive chain order. This is the
+// steady-state probe hot path: zero allocations per tuple.
 func (ds *dimState) processTuples(it *item) {
+	if !bitvec.AnyWords(ds.mask) {
+		return
+	}
 	stride, nd := it.stride, it.ndims
 	dt := ds.tab
 	es := ds.estride
@@ -1578,6 +1621,12 @@ func (ds *dimState) processTuples(it *item) {
 		words, rowIdx := it.words, it.rowIdx
 		for i := 0; i < it.n; i++ {
 			w := words[i]
+			if w&mask == 0 {
+				words[n] = w
+				rowIdx[n] = rowIdx[i]
+				n++
+				continue
+			}
 			r := int(rowIdx[i])
 			probes++
 			var ei int
@@ -1608,6 +1657,14 @@ func (ds *dimState) processTuples(it *item) {
 	} else {
 		for i := 0; i < it.n; i++ {
 			tw := it.words[i*stride : (i+1)*stride]
+			if !bitvec.IntersectsWords(tw, ds.mask) {
+				if n != i {
+					it.rowIdx[n] = it.rowIdx[i]
+					copy(it.words[n*stride:(n+1)*stride], tw)
+				}
+				n++
+				continue
+			}
 			r := int(it.rowIdx[i])
 			probes++
 			var ei int
@@ -1638,6 +1695,8 @@ func (ds *dimState) processTuples(it *item) {
 			n++
 		}
 	}
+	ds.in += int64(it.n)
+	ds.out += int64(n)
 	it.n = n
 	if probes > 0 {
 		ds.op.stats.probes.Add(probes)
@@ -1663,6 +1722,14 @@ type worker struct {
 	active []*subscription // replica of the scanner's active list
 	nslots int             // high-water bitmap slot count among admitted queries
 
+	// order is the sequence the chain probes dims in: declaration order at
+	// start, re-sorted every reorderPages data pages by observed pass rate,
+	// most selective first, so tuples die at the cheapest point. Any order
+	// gives bit-identical items (the bitmap fold is an AND, which commutes,
+	// and compaction is stable); only the probe count changes.
+	order []int
+	pages int // data pages processed, for the reorder cadence
+
 	// held counts this worker's view of live grafted readers per host: a
 	// graft's ctlAdmit increments, its ctlFinish decrements. Both are
 	// epoch-ordered against every page in this worker's queue, so "does a
@@ -1678,6 +1745,76 @@ type worker struct {
 
 	scratch vec.Scratch // vectorized-predicate temporaries, worker-owned
 	selBuf  []int32     // per-query selection buffer, sized to the page
+	base    []uint64    // one tuple's bits of the predicate-free queries
+}
+
+// reorderPages is the worker's chain-reorder cadence, in data pages.
+const reorderPages = 32
+
+// newWorker builds a probe pipeline with one replica per shared dimension
+// table, probing in declaration order until its first reorder.
+func newWorker(op *Operator, in chan wmsg, out chan<- *item) *worker {
+	w := &worker{
+		op:    op,
+		in:    in,
+		out:   out,
+		dims:  make([]dimState, len(op.tables)),
+		order: make([]int, len(op.tables)),
+	}
+	for j, t := range op.tables {
+		w.dims[j] = newDimState(t, op)
+		w.order[j] = j
+	}
+	return w
+}
+
+// process runs one data page through the worker: annotate, then the
+// dimension chain in the current adaptive order, re-sorting the order every
+// reorderPages pages. Zero allocations in steady state.
+func (w *worker) process(it *item) {
+	w.annotate(it, w.active, w.nslots)
+	for _, d := range w.order {
+		w.dims[d].processTuples(it)
+	}
+	w.pages++
+	if w.pages%reorderPages == 0 {
+		w.reorder()
+	}
+}
+
+// reorder insertion-sorts the chain order by pass rate (out/in, ascending;
+// a dimension that saw no tuples counts as passing everything), ties in
+// declaration order, then halves every dimension's counters so older pages
+// weigh less. Allocation-free; the chain is a handful of dimensions.
+func (w *worker) reorder() {
+	less := func(a, b int) bool {
+		da, db := &w.dims[a], &w.dims[b]
+		ina, outa, inb, outb := da.in, da.out, db.in, db.out
+		if ina == 0 {
+			ina, outa = 1, 1
+		}
+		if inb == 0 {
+			inb, outb = 1, 1
+		}
+		// outa/ina vs outb/inb, cross-multiplied to stay exact.
+		if l, r := outa*inb, outb*ina; l != r {
+			return l < r
+		}
+		return a < b
+	}
+	o := w.order
+	for i := 1; i < len(o); i++ {
+		d := o[i]
+		j := i
+		for ; j > 0 && less(d, o[j-1]); j-- {
+			o[j] = o[j-1]
+		}
+		o[j] = d
+	}
+	for i := range w.dims {
+		w.dims[i].in >>= 1
+		w.dims[i].out >>= 1
+	}
 }
 
 // admit applies one admission to the worker's replicas. Grafted queries
@@ -1735,7 +1872,7 @@ func (w *worker) drop(sub *subscription) {
 
 // run processes ticks until the scanner closes the queue. Control epochs
 // switch the replicated query bitmaps; data ticks are annotated, probed
-// through the whole chain and forwarded to the distributor.
+// through the chain (worker.process) and forwarded to the distributor.
 func (w *worker) run() {
 	defer w.op.wg.Done()
 	defer w.op.prodWG.Done()
@@ -1778,10 +1915,7 @@ func (w *worker) run() {
 		}
 		it := msg.it
 		w.cur = it
-		w.annotate(it, w.active, w.nslots)
-		for i := range w.dims {
-			w.dims[i].processTuples(it)
-		}
+		w.process(it)
 		w.op.addBusy(time.Since(t0))
 		select {
 		case w.out <- it:

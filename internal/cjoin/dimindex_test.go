@@ -3,6 +3,7 @@ package cjoin
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -125,5 +126,38 @@ func TestStringDictionaryEncoding(t *testing.T) {
 	}
 	if got := tab.lookupInt(3); got != -1 {
 		t.Errorf("lookupInt on string-keyed table = %d, want -1", got)
+	}
+}
+
+// TestCalendarKeysUseDirectIndex pins the dense index for yyyymmdd calendar
+// keys (SSB's d_datekey, 1992-01-01 through 1998-12-31): the keys span about
+// 24 values per day, within directSpanFactor, so the table probes through
+// the direct array, which stays within its memory bound and answers every
+// date, and misses every non-date, like the reference.
+func TestCalendarKeysUseDirectIndex(t *testing.T) {
+	var keys []types.Datum
+	for day := time.Date(1992, 1, 1, 0, 0, 0, 0, time.UTC); day.Year() < 1999; day = day.AddDate(0, 0, 1) {
+		keys = append(keys, types.NewInt(int64(day.Year()*10000+int(day.Month())*100+day.Day())))
+	}
+	if len(keys) != 2557 {
+		t.Fatalf("%d calendar keys, want 2557", len(keys))
+	}
+	tab := dimOf(t, keys)
+	if tab.direct == nil {
+		t.Fatal("calendar keys did not build a direct index")
+	}
+	if len(tab.direct) > directSpanFactor*len(keys) {
+		t.Fatalf("direct index has %d slots for %d keys, over the %dx bound", len(tab.direct), len(keys), directSpanFactor)
+	}
+	ref := newRefLookup(tab.keys)
+	for _, k := range keys {
+		if got, want := tab.lookupInt(k.I), ref.lookup(k); got != want || got < 0 {
+			t.Errorf("lookupInt(%d) = %d, want %d", k.I, got, want)
+		}
+	}
+	for _, k := range []int64{19920230, 19991231, 0, 19921301, 19911231} {
+		if got, want := tab.lookupInt(k), ref.lookup(types.NewInt(k)); got != want || got != -1 {
+			t.Errorf("lookupInt(%d) = %d, want %d", k, got, want)
+		}
 	}
 }

@@ -225,6 +225,66 @@ func TestProbePathZeroAllocs(t *testing.T) {
 	}
 }
 
+// chainPages is how many fact pages one chain-fixture sweep processes:
+// enough for two reorders of the worker's chain order.
+const chainPages = 2 * reorderPages
+
+// chainFixture builds a probe worker over the four-dimension star with a
+// fixed mix of queries — predicate-free, single-dimension and multi-
+// dimension — admitted, plus chainPages fact pages, and returns a sweep
+// that runs every page through the worker's whole per-page path: annotate,
+// the dimension chain in adaptive order, and the reorder.
+func chainFixture(t testing.TB) (sweep func(), tuples int) {
+	t.Helper()
+	cat := starDB4(t, 30000)
+	op := bareOp4(t, cat)
+	np := op.fact.File.NumPages()
+	w := newWorker(op, nil, nil)
+	for i, q := range []*plan.StarQuery{
+		star4Query(cat, -1, []int{0, 2}, []int64{3, -1}),
+		star4Query(cat, 30, []int{1}, []int64{2}),
+		star4Query(cat, 10, []int{0, 1, 2, 3}, []int64{4, 4, 3, -1}),
+		star4Query(cat, 60, []int{3, 1}, []int64{1, 3}),
+		star4Query(cat, -1, []int{2}, []int64{1}),
+		star4Query(cat, 45, []int{0, 3}, []int64{-1, 2}),
+	} {
+		sub, err := op.newSubscription(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub.id = i
+		w.admit(sub)
+	}
+	items := make([]*item, chainPages) // the table's pages, cycled
+	for i := range items {
+		p := i % np
+		cb, err := op.fact.File.PageCols(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cb.Release)
+		items[i] = &item{cols: cb, page: p}
+		tuples += cb.Len()
+	}
+	sweep = func() {
+		for _, it := range items {
+			w.process(it)
+		}
+	}
+	sweep() // warm the arenas to the page size
+	return sweep, tuples
+}
+
+// TestWorkerPageZeroAllocs locks in the steady state of a worker's whole
+// per-page path — annotate, the full dimension chain and the periodic
+// reorder — over a multi-page sweep: it allocates nothing.
+func TestWorkerPageZeroAllocs(t *testing.T) {
+	sweep, _ := chainFixture(t)
+	if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
+		t.Errorf("worker page path allocates %v objects per %d-page sweep, want 0", allocs, chainPages)
+	}
+}
+
 // TestCompiledPredsMatchInterpretedInPipeline runs the same star queries with
 // compiled predicates (the only mode) against the naive interpreted
 // reference, exercising fact and dimension predicates end to end.
@@ -295,4 +355,17 @@ func BenchmarkPreprocessAnnotate(b *testing.B) {
 		w.annotate(it, subs, len(subs))
 	}
 	b.ReportMetric(float64(it.cols.Len()), "tuples/op")
+}
+
+// BenchmarkCJoinProbeChain measures a worker's whole per-page path over a
+// chainPages-page sweep: annotate, the four-dimension chain in adaptive
+// order (direct-index, hash and dictionary probes) and the reorders.
+func BenchmarkCJoinProbeChain(b *testing.B) {
+	sweep, tuples := chainFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.ReportMetric(float64(tuples), "tuples/op")
 }
